@@ -8,8 +8,15 @@
 //! Backends (all produce the condensed per-user factors `x*_u^c`; Observation 2
 //! of the paper turns them into per-slot factors by dividing by `k`):
 //!
-//! * [`LpBackend::ExactSimplex`] — builds LP_SIMP and solves it exactly with
-//!   the two-phase simplex; appropriate for small/medium instances and used
+//! * [`LpBackend::ExactSimplex`] — solves LP_SIMP exactly by Dantzig–Wolfe
+//!   decomposition ([`svgic_lp::decomposition`]): one minimum cut per item
+//!   prices the per-item user sets, Polyak subgradient steps aimed at the
+//!   structured ascent's objective collect them, and a restricted master
+//!   over the sets, solved by the dense two-phase simplex, is priced until
+//!   no item has a column with positive reduced cost. Every result carries a
+//!   Lagrangian dual bound within 1e-9 relative of its objective. A master
+//!   whose simplex stops on its pivot budget or a numerical abort falls back
+//!   to the structured ascent, labelled [`LpBackend::Structured`]. Used
 //!   whenever the paper compares against the exact LP bound.
 //! * [`LpBackend::Structured`] — block-coordinate ascent on the min-coupling
 //!   form (the "β-approximate LP" of Corollary 4.2); scales to the paper's
@@ -18,16 +25,18 @@
 //!   useful to validate Observation 2 (it is strictly larger than LP_SIMP).
 //! * [`LpBackend::Auto`] — exact below a size threshold, structured above.
 
-use svgic_core::ip_model::{build_full_model, build_lp_simp, build_min_coupling};
+use svgic_core::ip_model::{build_full_model, build_min_coupling};
 use svgic_core::{ItemIdx, SlotIdx, SvgicInstance, UserIdx};
 use svgic_lp::{
-    solve_lp, solve_min_coupling, CoordinateAscentOptions, SimplexError, SimplexOptions,
+    solve_lp, solve_min_coupling, solve_min_coupling_exact, CoordinateAscentOptions, SimplexError,
+    SimplexOptions,
 };
 
 /// Which relaxation backend to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum LpBackend {
-    /// Exact two-phase simplex on the condensed LP_SIMP (§4.4).
+    /// Exact solve of the condensed LP_SIMP (§4.4): per-item minimum cuts
+    /// and a Dantzig–Wolfe master solved by the two-phase simplex.
     ExactSimplex,
     /// Block-coordinate ascent on the min-coupling form (scalable,
     /// β-approximate; Corollary 4.2).
@@ -38,6 +47,14 @@ pub enum LpBackend {
     /// Exact simplex when `n·m + pairs·m` is small, structured otherwise.
     #[default]
     Auto,
+}
+
+impl LpBackend {
+    /// Whether factors labelled with this backend hold an exact LP optimum,
+    /// so that their objective is an upper bound on the optimal utility.
+    pub fn is_exact(self) -> bool {
+        matches!(self, LpBackend::ExactSimplex | LpBackend::FullLpSvgic)
+    }
 }
 
 /// Fractional utility factors produced by a relaxation backend.
@@ -197,29 +214,28 @@ pub fn solve_relaxation(instance: &SvgicInstance, options: &RelaxationOptions) -
     };
     match backend {
         LpBackend::ExactSimplex | LpBackend::Auto => {
-            let model = build_lp_simp(instance);
+            let problem = build_min_coupling(instance);
+            let ascent = solve_min_coupling(&problem, &options.ascent);
             // LP_SIMP is always feasible (x = k/m is an interior point) and
             // bounded (every variable lives in [0, 1]), so the only reachable
-            // errors are resource/stability aborts: the pivot budget, or the
-            // simplex refusing to divide by a near-zero pivot element
-            // (`SimplexError::Numerical`). Those must not take a serving
-            // engine down — fall back to the division-free structured ascent,
-            // which is deterministic for the same instance, so cached/warm
-            // reuse stays byte-identical.
-            match solve_lp(&model.lp, &options.simplex) {
+            // errors are resource/stability aborts of the master's simplex:
+            // the pivot budget, or a near-zero pivot element or a dual bound
+            // that fails to certify (`SimplexError::Numerical`). Those must
+            // not take a serving engine down — fall back to the structured
+            // ascent, which is deterministic for the same instance, so
+            // cached/warm reuse stays byte-identical.
+            match solve_min_coupling_exact(&problem, &ascent, &options.simplex) {
                 Ok(sol) => UtilityFactors::from_aggregate(
                     instance,
-                    model.extract_factors(&sol),
+                    sol.values,
                     sol.objective,
                     LpBackend::ExactSimplex,
                 ),
                 Err(SimplexError::IterationLimit | SimplexError::Numerical) => {
-                    let problem = build_min_coupling(instance);
-                    let sol = solve_min_coupling(&problem, &options.ascent);
                     UtilityFactors::from_aggregate(
                         instance,
-                        sol.values,
-                        sol.objective,
+                        ascent.values,
+                        ascent.objective,
                         LpBackend::Structured,
                     )
                 }
@@ -350,12 +366,34 @@ mod tests {
         }
     }
 
+    /// A random 6-user instance whose ascent no subgradient step certifies,
+    /// so the exact backend has to solve its restricted master.
+    fn master_bound_instance() -> SvgicInstance {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (n, m, k) = (6, 5, 2);
+        let mut rng = StdRng::seed_from_u64(14);
+        let graph = svgic_graph::generate::erdos_renyi(n, 0.6, &mut rng);
+        let mut builder = svgic_core::SvgicInstanceBuilder::new(graph, m, k, 0.5);
+        let preferences: Vec<f64> = (0..n * m).map(|_| rng.gen::<f64>()).collect();
+        let social: Vec<f64> = (0..n * n * m).map(|_| rng.gen::<f64>()).collect();
+        builder.fill_preferences(|u, c| preferences[u * m + c]);
+        builder.fill_social(|u, v, c| social[(u * n + v) * m + c]);
+        builder.build().expect("valid instance")
+    }
+
     #[test]
     fn simplex_abort_falls_back_to_structured_instead_of_panicking() {
         // Exhausting the pivot budget (and, equivalently, the near-zero-pivot
         // Numerical abort) must degrade to the structured ascent, not unwind
-        // through a serving engine.
-        let inst = running_example();
+        // through a serving engine. The instance needs the master: a bound
+        // that certified the ascent would answer before any simplex ran.
+        let inst = master_bound_instance();
+        let problem = build_min_coupling(&inst);
+        let ascent = solve_min_coupling(&problem, &CoordinateAscentOptions::default());
+        let exact = solve_min_coupling_exact(&problem, &ascent, &SimplexOptions::default())
+            .expect("the unconstrained master solves");
+        assert!(exact.master_rounds > 0, "the ascent must not be certified");
         let strangled = solve_relaxation(
             &inst,
             &RelaxationOptions {

@@ -21,8 +21,7 @@
 //!   keeps a softer > 1.2x bar: with only a handful of sessions the hash
 //!   ring cannot balance four nodes evenly).
 //!
-//! The run writes `target/cluster_scaling.json` (committed as
-//! `BENCH_cluster_scaling.json` at the repo root) with per-topology rows and
+//! The run writes `target/cluster_scaling.json` with per-topology rows and
 //! the migration-overhead measurement.
 
 use std::time::Instant;

@@ -12,12 +12,12 @@
 //!    the *enabled* run recorded, must project to less than 1% of the
 //!    untraced run's wall time. That is the price every production engine
 //!    pays for having the instrumentation compiled in;
-//! 3. **sampler overhead < 2%** — the telemetry ring samples one stats
-//!    snapshot per flush tick (on by default). The measured cost of one
-//!    snapshot, multiplied by the number of samples the default run
-//!    pushed, must project to less than 2% of a sampling-disabled run's
-//!    wall time — and sampling must not change the digest or solve count
-//!    either;
+//! 3. **sampler overhead < 2%** — the telemetry ring takes one sample per
+//!    flush tick (on by default). The measured cost of one
+//!    `Engine::telemetry_sample` call, the code the sampler runs, multiplied
+//!    by the number of samples the default run pushed, must project to less
+//!    than 2% of a sampling-disabled run's wall time — and sampling must not
+//!    change the digest or solve count either;
 //! 4. **profiler overhead < 2%** — the solve ledger folds one record per
 //!    solve (on by default at capacity 128). The measured cost of one
 //!    ledger fold, multiplied by the run's solve count, must project to
@@ -165,22 +165,23 @@ fn obs_overhead(c: &mut Criterion) {
         samples.windows(2).all(|pair| pair[0].tick < pair[1].tick),
         "the ring's tick axis must be strictly increasing"
     );
-    // One sample costs one stats snapshot (the ring push is a memcpy);
-    // measure the snapshot on the engine the run just filled, so the
-    // per-sample price reflects a realistically-populated session store.
+    // One sample costs one `Engine::telemetry_sample` call, the code the
+    // sampler runs (the ring push is a memcpy); measure it on the engine the
+    // run just filled, so the per-sample price reflects a
+    // realistically-populated session store.
     let per_sample = {
         let calls = 1_000u32;
         // lint: allow(wall-clock, benchmark timing is the measurement itself)
         let started = Instant::now();
         for _ in 0..calls {
-            std::hint::black_box(sampled_engine.stats());
+            std::hint::black_box(sampled_engine.telemetry_sample());
         }
         started.elapsed().as_secs_f64() / f64::from(calls)
     };
     let sampler_projected = per_sample * samples.len() as f64;
     let sampler_budget = off.wall_seconds * 0.02;
     println!(
-        "telemetry sample ≈ {:.2} µs/snapshot; {} samples project to {:.3} µs \
+        "telemetry sample ≈ {:.2} µs/sample; {} samples project to {:.3} µs \
          ({:.4}% of the sampling-off run)",
         per_sample * 1e6,
         samples.len(),

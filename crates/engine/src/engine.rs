@@ -70,7 +70,6 @@ use crate::scheduler::coalesce;
 use crate::session::{Served, SessionExport, SessionState};
 use crate::stats::{EngineStats, StatsSnapshot};
 use crate::warm::{solve_factors_warm, CacheMode};
-use svgic_obs::telemetry::rate_to_ppm;
 use svgic_obs::{ObsConfig, Phase, SpanRecord, TelemetryRing, TelemetrySample, Tracer};
 
 use rand::SeedableRng;
@@ -320,17 +319,7 @@ impl Engine {
     /// session-side `mem_*` gauges first (an O(sessions) arithmetic walk —
     /// strictly read-side, never touching matrix data).
     pub fn stats(&self) -> StatsSnapshot {
-        // Shard jobs publish their cache gauges after sending their last
-        // outcome but before releasing the shard lock, so a batch can look
-        // finished (all outcomes drained) while a worker's gauge store is
-        // still in flight. Briefly taking each shard lock fences those
-        // stores, so every snapshot — telemetry sampling, the wire `Stats`
-        // request, local reads — sees the post-batch cache sizes.
-        for shard in &self.shards {
-            // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
-            drop(shard.lock().expect("shard poisoned"));
-        }
-        self.refresh_mem_gauges();
+        self.settle_gauges();
         let mut snapshot = self.stats.snapshot();
         snapshot.profile = self.ledger.entries();
         snapshot.profile_dropped = self.ledger.dropped();
@@ -351,6 +340,28 @@ impl Engine {
             waterfalls: svgic_obs::assemble_waterfalls(&spans),
             collapsed: svgic_obs::collapsed_stacks(&spans),
         }
+    }
+
+    /// Brings every gauge up to date before a read. Shard jobs publish their
+    /// cache gauges after sending their last outcome but before releasing the
+    /// shard lock, so a batch can look finished (all outcomes drained) while
+    /// a worker's gauge store is still in flight. Briefly taking each shard
+    /// lock fences those stores, so every read — telemetry sampling, the wire
+    /// `Stats` request, local reads — sees the post-batch cache sizes.
+    fn settle_gauges(&self) {
+        for shard in &self.shards {
+            // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
+            drop(shard.lock().expect("shard poisoned"));
+        }
+        self.refresh_mem_gauges();
+    }
+
+    /// The sample the telemetry ring records at a flush, stamped with the
+    /// latest tick. It reads only the numbers a [`TelemetrySample`] stores,
+    /// after the same gauge fence as [`Engine::stats`].
+    pub fn telemetry_sample(&self) -> TelemetrySample {
+        self.settle_gauges();
+        self.stats.telemetry_sample(self.ticks.saturating_sub(1))
     }
 
     /// Recomputes the session/pending/served byte gauges from the live
@@ -395,23 +406,11 @@ impl Engine {
         if !self.telemetry.is_enabled() {
             return;
         }
-        // `stats()` fences on the shard locks before snapshotting, so the
-        // sample always reads the post-batch cache sizes — which keeps the
-        // ring deterministic across backends.
-        let snapshot = self.stats();
-        self.telemetry.push(TelemetrySample {
-            tick: self.ticks - 1,
-            requests: snapshot.requests,
-            solves: snapshot.solves(),
-            queue_depth: snapshot.total_queue_depth(),
-            warm_rate_ppm: rate_to_ppm(snapshot.warm_start_rate()),
-            imbalance_ppm: rate_to_ppm(snapshot.shard_imbalance()),
-            mem_session_bytes: snapshot.mem_session_bytes,
-            mem_pending_bytes: snapshot.mem_pending_bytes,
-            mem_served_bytes: snapshot.mem_served_bytes,
-            mem_cache_bytes: snapshot.mem_cache_bytes(),
-            mem_total_bytes: snapshot.mem_total_bytes(),
-        });
+        // The sample fences on the shard locks first, so it always reads the
+        // post-batch cache sizes — which keeps the ring deterministic across
+        // backends.
+        let sample = self.telemetry_sample();
+        self.telemetry.push(sample);
     }
 
     /// Handles a typed request.
@@ -1182,7 +1181,10 @@ fn run_shard_plans(
             configuration,
             utility,
             lp_bound,
-            tight: plan.kind == ResolveKind::FullLp,
+            // Only an exact solve on exactly this instance bounds the
+            // optimum; ascent factors (configured or fallen back to) are a
+            // lower bound.
+            tight: plan.kind == ResolveKind::FullLp && factors.backend.is_exact(),
             present: plan.present,
             catalog: plan.catalog,
             round_nanos: started.elapsed().as_nanos() as u64,
@@ -1271,6 +1273,7 @@ mod tests {
     use super::*;
     use svgic_core::example::running_example;
     use svgic_core::extensions::DynamicEvent;
+    use svgic_obs::telemetry::rate_to_ppm;
 
     fn engine() -> Engine {
         Engine::new(EngineConfig {
@@ -1352,6 +1355,55 @@ mod tests {
         assert!(view.lp_bound + 1e-9 >= view.utility);
         let stats = engine.stats();
         assert!(stats.solves_full >= 1);
+    }
+
+    #[test]
+    fn only_exact_solves_record_bound_gaps() {
+        // The structured ascent's objective is a lower bound on the LP
+        // optimum, not an upper bound on the utility: full solves from it
+        // are not tight and must record no utility-vs-bound gap.
+        for (backend, exact) in [
+            (LpBackend::Structured, false),
+            (LpBackend::ExactSimplex, true),
+        ] {
+            let mut engine = Engine::new(EngineConfig {
+                workers: 2,
+                auto_flush_pending: 0,
+                backend,
+                ..EngineConfig::default()
+            });
+            let id = create(&mut engine);
+            engine.force_resolve(id).unwrap();
+            let stats = engine.stats();
+            assert!(stats.solves_full >= 1);
+            assert_eq!(stats.gap_samples > 0, exact, "{backend:?}: {stats}");
+        }
+    }
+
+    #[test]
+    fn telemetry_sample_matches_the_stats_snapshot() {
+        let mut engine = engine();
+        let id = create(&mut engine);
+        engine
+            .submit_event(id, SessionEvent::Membership(DynamicEvent::Leave(1)))
+            .unwrap();
+        engine.handle(EngineRequest::Flush).unwrap();
+        let sample = engine.telemetry_sample();
+        let snapshot = engine.stats();
+        assert_eq!(sample.requests, snapshot.requests);
+        assert_eq!(sample.solves, snapshot.solves());
+        assert_eq!(sample.queue_depth, snapshot.total_queue_depth());
+        assert_eq!(
+            sample.warm_rate_ppm,
+            rate_to_ppm(snapshot.warm_start_rate())
+        );
+        assert_eq!(
+            sample.imbalance_ppm,
+            rate_to_ppm(snapshot.shard_imbalance())
+        );
+        assert_eq!(sample.mem_cache_bytes, snapshot.mem_cache_bytes());
+        assert_eq!(sample.mem_total_bytes, snapshot.mem_total_bytes());
+        assert_eq!(engine.telemetry().last(), Some(&sample));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! the session's full population and merely re-runs the CSF rounding on the
 //! rows of the present shoppers — the mechanism of the paper's §5 dynamic
 //! scenario. A *full* solve re-runs the LP relaxation on the restricted
-//! instance, producing a tight bound and fresher factors, at LP cost.
+//! instance, producing fresher factors — and, from an exact backend, a tight
+//! bound — at LP cost.
 //!
 //! The policy escalates to a full solve when enough membership churn has
 //! accumulated since the last full solve, when the observed utility has

@@ -28,8 +28,10 @@ pub struct Served {
     pub utility: f64,
     /// LP bound associated with the factors used.
     pub lp_bound: f64,
-    /// Whether `lp_bound` is tight (LP was solved on exactly this restricted
-    /// instance) rather than the loose full-population bound.
+    /// Whether `lp_bound` is tight: an exact backend solved the LP on
+    /// exactly this restricted instance. A full-population bound, or factors
+    /// from the structured ascent (configured or fallen back to), are not —
+    /// the ascent's objective is a lower bound on the LP optimum.
     pub tight: bool,
 }
 

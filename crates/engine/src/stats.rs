@@ -8,8 +8,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use svgic_obs::telemetry::rate_to_ppm;
 use svgic_obs::{
     AtomicHistogram, Health, HealthPolicy, HistogramSnapshot, MetricsRegistry, SloObjective,
+    TelemetrySample,
 };
 
 /// Default per-request-class latency objectives: `(class, objective)` for
@@ -47,6 +49,18 @@ pub struct ShardStats {
     /// (gauge, refreshed alongside `cache_entries`; capacity accounting per
     /// `svgic_obs::mem`).
     pub cache_bytes: AtomicU64,
+}
+
+/// Max/mean ratio of per-shard busy nanoseconds (`0` with no shards or no
+/// work yet).
+fn busy_imbalance(busy: &[u64]) -> f64 {
+    let total: u64 = busy.iter().sum();
+    if busy.is_empty() || total == 0 {
+        return 0.0;
+    }
+    let max = *busy.iter().max().expect("non-empty") as f64;
+    let mean = total as f64 / busy.len() as f64;
+    max / mean
 }
 
 /// Monotonic counters shared between the engine and its workers.
@@ -326,6 +340,41 @@ impl EngineStats {
         clear(&self.max_solve_nanos);
         clear(&self.gap_micros);
         clear(&self.gap_samples);
+    }
+
+    /// The [`TelemetrySample`] at `tick`, read straight from the counters.
+    /// It loads only the numbers a sample stores, where [`Self::snapshot`]
+    /// copies every histogram too; each field equals what the snapshot's
+    /// accessors derive.
+    pub(crate) fn telemetry_sample(&self, tick: u64) -> TelemetrySample {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let per_shard = |gauge: fn(&ShardStats) -> &AtomicU64| -> u64 {
+            self.per_shard.iter().map(|shard| load(gauge(shard))).sum()
+        };
+        let busy: Vec<u64> = self.per_shard.iter().map(|s| load(&s.busy_nanos)).collect();
+        let (warm, cold) = (load(&self.solves_warm), load(&self.solves_cold));
+        let warm_rate = if warm + cold == 0 {
+            0.0
+        } else {
+            warm as f64 / (warm + cold) as f64
+        };
+        let session = load(&self.mem_session_bytes);
+        let pending = load(&self.mem_pending_bytes);
+        let served = load(&self.mem_served_bytes);
+        let cache = per_shard(|s| &s.cache_bytes);
+        TelemetrySample {
+            tick,
+            requests: load(&self.requests),
+            solves: load(&self.solves_incremental) + load(&self.solves_full),
+            queue_depth: per_shard(|s| &s.queue_depth),
+            warm_rate_ppm: rate_to_ppm(warm_rate),
+            imbalance_ppm: rate_to_ppm(busy_imbalance(&busy)),
+            mem_session_bytes: session,
+            mem_pending_bytes: pending,
+            mem_served_bytes: served,
+            mem_cache_bytes: cache,
+            mem_total_bytes: session + pending + served + cache,
+        }
     }
 
     /// A point-in-time copy of every counter plus derived rates.
@@ -665,13 +714,7 @@ impl StatsSnapshot {
             .iter()
             .map(|s| s.busy_time.as_nanos().min(u64::MAX as u128) as u64)
             .collect();
-        let total: u64 = busy.iter().sum();
-        if busy.is_empty() || total == 0 {
-            return 0.0;
-        }
-        let max = *busy.iter().max().expect("non-empty") as f64;
-        let mean = total as f64 / busy.len() as f64;
-        max / mean
+        busy_imbalance(&busy)
     }
 
     /// Factor-cache entries held engine-wide right now (sum of the

@@ -27,7 +27,7 @@
 use std::sync::Arc;
 
 use svgic_algorithms::factors::{solve_relaxation, RelaxationOptions};
-use svgic_algorithms::UtilityFactors;
+use svgic_algorithms::{LpBackend, UtilityFactors};
 use svgic_core::{SvgicInstance, UserIdx};
 
 use crate::cache::FactorCache;
@@ -133,11 +133,18 @@ pub fn solve_factors_warm(
     let mut scaled_objective = 0.0f64;
     let mut reused = 0usize;
     let num_components = components.len();
+    // The assembly is exact only when every component is: one component
+    // solved by (or fallen back to) the ascent makes the sum a lower bound.
+    let mut backend = None;
 
     for component in &components {
         let sub = Arc::new(instance.restrict_users(component));
         let (factors, was_reused) = resolve(&sub, &mut cache);
         reused += usize::from(was_reused);
+        backend = match backend {
+            Some(label) if label != factors.backend => Some(LpBackend::Structured),
+            _ => Some(factors.backend),
+        };
         scaled_objective += factors.scaled_objective;
         for (row, &user) in component.iter().enumerate() {
             for item in 0..m {
@@ -146,12 +153,11 @@ pub fn solve_factors_warm(
         }
     }
 
-    let backend = options.backend;
     let factors = Arc::new(UtilityFactors::from_aggregate(
         instance,
         aggregate,
         scaled_objective,
-        backend,
+        backend.unwrap_or(options.backend),
     ));
     WarmOutcome {
         factors,

@@ -14,6 +14,10 @@
 
 use crate::model::{ConstraintSense, LinearProgram, Solution};
 
+/// Consecutive degenerate pivots after which the simplex picks pivots by
+/// Bland's rule until one makes progress.
+const DEGENERATE_RUN: usize = 100;
+
 /// Options controlling the simplex run.
 #[derive(Clone, Debug)]
 pub struct SimplexOptions {
@@ -76,7 +80,28 @@ impl std::error::Error for SimplexError {}
 /// Integer variables are *not* enforced here; use [`crate::branch_bound`] for
 /// MILPs.
 pub fn solve_lp(lp: &LinearProgram, options: &SimplexOptions) -> Result<Solution, SimplexError> {
-    Tableau::build(lp, options)?.solve(lp)
+    let mut tableau = Tableau::build(lp, options)?;
+    tableau.optimise()?;
+    Ok(tableau.primal(lp))
+}
+
+/// Solves `lp` like [`solve_lp`] and also returns the dual value of every
+/// constraint, in the order of [`LinearProgram::constraints`].
+///
+/// The duals are read off the final tableau and belong to the maximisation:
+/// the dual of a `≤` row is non-negative, of a `≥` row non-positive, of an
+/// `=` row free, and each is the rate at which the optimum grows with the
+/// row's right-hand side. Variable bounds are not constraints here and get no
+/// dual; with every variable in `[0, ∞)`, strong duality reads
+/// `Σ_i dual_i · rhs_i = objective`.
+pub(crate) fn solve_lp_with_duals(
+    lp: &LinearProgram,
+    options: &SimplexOptions,
+) -> Result<(Solution, Vec<f64>), SimplexError> {
+    let mut tableau = Tableau::build(lp, options)?;
+    tableau.optimise()?;
+    let duals = tableau.duals(lp.num_constraints());
+    Ok((tableau.primal(lp), duals))
 }
 
 /// Internal standard-form tableau.
@@ -99,6 +124,11 @@ struct Tableau {
     objective_offset: f64,
     options: SimplexOptions,
     artificial_start: usize,
+    /// Per row, the column that starts as the row's unit vector (its slack,
+    /// or its artificial): in the final tableau it holds `B⁻¹ e_row`.
+    unit_col: Vec<usize>,
+    /// Per row, whether a negative right-hand side was flipped at build.
+    flipped: Vec<bool>,
 }
 
 impl Tableau {
@@ -150,8 +180,10 @@ impl Tableau {
         }
 
         // Normalise RHS to be non-negative.
-        for row in &mut raw_rows {
+        let mut flipped = vec![false; raw_rows.len()];
+        for (row, flipped) in raw_rows.iter_mut().zip(&mut flipped) {
             if row.rhs < 0.0 {
+                *flipped = true;
                 for (_, a) in &mut row.coeffs {
                     *a = -*a;
                 }
@@ -184,6 +216,7 @@ impl Tableau {
 
         let mut a = vec![0.0; rows * (cols + 1)];
         let mut basis = vec![usize::MAX; rows];
+        let mut unit_col = vec![usize::MAX; rows];
         let mut slack_idx = structural;
         let mut art_idx = artificial_start;
         for (r, row) in raw_rows.iter().enumerate() {
@@ -210,6 +243,7 @@ impl Tableau {
                     art_idx += 1;
                 }
             }
+            unit_col[r] = basis[r];
         }
 
         // Phase-2 cost: minimise -objective over shifted variables.
@@ -237,6 +271,8 @@ impl Tableau {
             objective_offset,
             options: options.clone(),
             artificial_start,
+            unit_col,
+            flipped,
         })
     }
 
@@ -309,6 +345,11 @@ impl Tableau {
         // element was numerically unusable; cleared after every successful
         // pivot (the tableau, and hence the elements, change).
         let mut rejected = vec![false; self.cols];
+        // Consecutive degenerate pivots (zero steps: the objective did not
+        // move). The largest-reduced-cost rule can cycle through such pivots
+        // indefinitely; after `DEGENERATE_RUN` of them Bland's rule, which
+        // cannot cycle, picks the pivots until one makes progress.
+        let mut degenerate_run = 0usize;
         loop {
             if *pivots_used >= self.options.max_pivots {
                 return Err(SimplexError::IterationLimit);
@@ -318,7 +359,8 @@ impl Tableau {
             let mut entering: Option<usize> = None;
             let mut best_reduced = -tol;
             let mut any_rejected_improving = false;
-            let use_bland = *pivots_used > self.options.max_pivots / 2;
+            let use_bland =
+                *pivots_used > self.options.max_pivots / 2 || degenerate_run >= DEGENERATE_RUN;
             let col_limit = if forbid_artificials {
                 self.artificial_start
             } else {
@@ -386,10 +428,16 @@ impl Tableau {
             }
             rejected.fill(false);
             *pivots_used += 1;
+            degenerate_run = if best_ratio <= tol {
+                degenerate_run + 1
+            } else {
+                0
+            };
         }
     }
 
-    fn solve(mut self, lp: &LinearProgram) -> Result<Solution, SimplexError> {
+    /// Runs both phases to an optimal basis.
+    fn optimise(&mut self) -> Result<(), SimplexError> {
         let tol = self.options.tolerance;
         let mut pivots = 0usize;
 
@@ -432,9 +480,11 @@ impl Tableau {
 
         // Phase 2: optimise the real objective without artificials entering.
         let phase2 = self.cost.clone();
-        self.run_phase(&phase2, true, &mut pivots)?;
+        self.run_phase(&phase2, true, &mut pivots)
+    }
 
-        // Extract solution.
+    /// The primal solution of the current (optimal) basis.
+    fn primal(&self, lp: &LinearProgram) -> Solution {
         let mut shifted = vec![0.0; self.structural];
         for r in 0..self.rows {
             let b = self.basis[r];
@@ -449,7 +499,30 @@ impl Tableau {
             .collect();
         let _ = self.objective_offset;
         let objective = lp.objective_value(&values);
-        Ok(Solution { values, objective })
+        Solution { values, objective }
+    }
+
+    /// Duals of the first `count` rows (the user constraints) at the current
+    /// (optimal) basis, for the maximisation.
+    ///
+    /// Row `r`'s unit column holds `B⁻¹ e_r`, so `c_B · B⁻¹ e_r` is the row's
+    /// dual in the minimisation the tableau solves. Its cost is the negated
+    /// objective, hence the sign change; a row flipped at build is the
+    /// negated user row, hence the second one.
+    fn duals(&self, count: usize) -> Vec<f64> {
+        (0..count)
+            .map(|r| {
+                let col = self.unit_col[r];
+                let dual: f64 = (0..self.rows)
+                    .map(|i| self.cost[self.basis[i]] * self.at(i, col))
+                    .sum();
+                if self.flipped[r] {
+                    dual
+                } else {
+                    -dual
+                }
+            })
+            .collect()
     }
 }
 
@@ -560,6 +633,39 @@ mod tests {
     }
 
     #[test]
+    fn cycling_example_solves() {
+        // Chvátal's cycling example: under the largest-coefficient rule with
+        // smallest-subscript ties, its degenerate pivots return to the
+        // starting basis after six steps. The solve must still end at the
+        // optimum, 1 at x1 = x3 = 1, well within a small pivot budget.
+        let mut lp = LinearProgram::new();
+        let x: Vec<usize> = [10.0, -57.0, -9.0, -24.0]
+            .iter()
+            .map(|&c| lp.add_variable(c, 0.0, f64::INFINITY, VarKind::Continuous, None))
+            .collect();
+        let rows = [
+            ([0.5, -5.5, -2.5, 9.0], 0.0),
+            ([0.5, -1.5, -0.5, 1.0], 0.0),
+            ([1.0, 0.0, 0.0, 0.0], 1.0),
+        ];
+        for (coefficients, rhs) in rows {
+            let terms = x.iter().copied().zip(coefficients).collect();
+            lp.add_constraint(terms, ConstraintSense::LessEq, rhs, None);
+        }
+        let options = SimplexOptions {
+            max_pivots: 1_000,
+            ..SimplexOptions::default()
+        };
+        let sol = solve_lp(&lp, &options).expect("solves despite degeneracy");
+        assert!(
+            (sol.objective - 1.0).abs() < 1e-9,
+            "objective {}",
+            sol.objective
+        );
+        assert!(lp.is_feasible(&sol.values, 1e-9));
+    }
+
+    #[test]
     fn duplicate_terms_are_merged() {
         // max x s.t. 0.5x + 0.5x <= 3  => x = 3.
         let mut lp = LinearProgram::new();
@@ -615,6 +721,164 @@ mod tests {
         let sol = solve_lp(&lp, &options).expect("stable instance solves");
         assert!((sol.objective - 3.0).abs() < 1e-6, "got {}", sol.objective);
         assert!(lp.is_feasible(&sol.values, 1e-9));
+    }
+
+    /// Checks the duals of an LP whose variables all live in `[0, ∞)`:
+    /// strong duality, the sign of each row's dual, dual feasibility, and
+    /// complementary slackness on rows and columns.
+    fn assert_duality(lp: &LinearProgram) -> (Solution, Vec<f64>) {
+        let (sol, duals) = solve_lp_with_duals(lp, &SimplexOptions::default()).expect("solvable");
+        assert_eq!(duals.len(), lp.num_constraints());
+        let dual_objective: f64 = lp
+            .constraints()
+            .iter()
+            .zip(&duals)
+            .map(|(c, d)| c.rhs * d)
+            .sum();
+        assert!(
+            (dual_objective - sol.objective).abs() < 1e-9,
+            "strong duality: dual {dual_objective} vs primal {}",
+            sol.objective
+        );
+        let mut priced = lp
+            .variables()
+            .iter()
+            .map(|v| v.objective)
+            .collect::<Vec<_>>();
+        for (c, &d) in lp.constraints().iter().zip(&duals) {
+            match c.sense {
+                ConstraintSense::LessEq => assert!(d >= -1e-9, "≤ row dual {d}"),
+                ConstraintSense::GreaterEq => assert!(d <= 1e-9, "≥ row dual {d}"),
+                ConstraintSense::Equal => {}
+            }
+            let lhs: f64 = c.terms.iter().map(|&(v, a)| a * sol.values[v]).sum();
+            assert!(
+                (d * (c.rhs - lhs)).abs() < 1e-9,
+                "row slack {} with dual {d}",
+                c.rhs - lhs
+            );
+            for &(v, a) in &c.terms {
+                priced[v] -= d * a;
+            }
+        }
+        for (reduced, &x) in priced.iter().zip(&sol.values) {
+            assert!(*reduced <= 1e-9, "dual infeasible: reduced cost {reduced}");
+            assert!((reduced * x).abs() < 1e-9, "column slack {reduced} at {x}");
+        }
+        (sol, duals)
+    }
+
+    fn unbounded_var(lp: &mut LinearProgram, objective: f64) -> usize {
+        lp.add_variable(objective, 0.0, f64::INFINITY, VarKind::Continuous, None)
+    }
+
+    #[test]
+    fn duals_of_a_textbook_lp() {
+        // max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18: optimum 36 at
+        // (2, 6) with duals (0, 3/2, 1).
+        let mut lp = LinearProgram::new();
+        let x = unbounded_var(&mut lp, 3.0);
+        let y = unbounded_var(&mut lp, 5.0);
+        lp.add_constraint(vec![(x, 1.0)], ConstraintSense::LessEq, 4.0, None);
+        lp.add_constraint(vec![(y, 2.0)], ConstraintSense::LessEq, 12.0, None);
+        lp.add_constraint(
+            vec![(x, 3.0), (y, 2.0)],
+            ConstraintSense::LessEq,
+            18.0,
+            None,
+        );
+        let (_, duals) = assert_duality(&lp);
+        for (got, want) in duals.iter().zip([0.0, 1.5, 1.0]) {
+            assert!((got - want).abs() < 1e-9, "duals {duals:?}");
+        }
+    }
+
+    #[test]
+    fn duals_of_geq_and_flipped_rows() {
+        // max −2x − 3y s.t. x + y ≥ 4, x + 3y ≥ 6: optimum −9 at (3, 1),
+        // duals (−3/2, −1/2). The same rows written as `−x − y ≤ −4` and
+        // `−x − 3y = …` have negative right-hand sides, which the tableau
+        // flips at build; their duals must come back negated.
+        let mut geq = LinearProgram::new();
+        let x = unbounded_var(&mut geq, -2.0);
+        let y = unbounded_var(&mut geq, -3.0);
+        geq.add_constraint(
+            vec![(x, 1.0), (y, 1.0)],
+            ConstraintSense::GreaterEq,
+            4.0,
+            None,
+        );
+        geq.add_constraint(
+            vec![(x, 1.0), (y, 3.0)],
+            ConstraintSense::GreaterEq,
+            6.0,
+            None,
+        );
+        let (sol, duals) = assert_duality(&geq);
+        assert!((sol.objective + 9.0).abs() < 1e-9);
+        for (got, want) in duals.iter().zip([-1.5, -0.5]) {
+            assert!((got - want).abs() < 1e-9, "duals {duals:?}");
+        }
+
+        let mut flipped = LinearProgram::new();
+        let x = unbounded_var(&mut flipped, -2.0);
+        let y = unbounded_var(&mut flipped, -3.0);
+        flipped.add_constraint(
+            vec![(x, -1.0), (y, -1.0)],
+            ConstraintSense::LessEq,
+            -4.0,
+            None,
+        );
+        flipped.add_constraint(
+            vec![(x, -1.0), (y, -3.0)],
+            ConstraintSense::Equal,
+            -6.0,
+            None,
+        );
+        let (sol, duals) = assert_duality(&flipped);
+        assert!((sol.objective + 9.0).abs() < 1e-9);
+        for (got, want) in duals.iter().zip([1.5, 0.5]) {
+            assert!((got - want).abs() < 1e-9, "duals {duals:?}");
+        }
+    }
+
+    #[test]
+    fn duals_of_random_mixed_lps() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Rows of every sense, built around a known feasible point so the LP
+        // is feasible, and capped by one `≤` row so it is bounded. Some rows
+        // get negative right-hand sides, which the tableau flips.
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..20 {
+            let vars = rng.gen_range(2..7);
+            let mut lp = LinearProgram::new();
+            let ids: Vec<usize> = (0..vars)
+                .map(|_| unbounded_var(&mut lp, rng.gen_range(-1.0..2.0)))
+                .collect();
+            let point: Vec<f64> = (0..vars).map(|_| rng.gen_range(0.0..2.0)).collect();
+            lp.add_constraint(
+                ids.iter().map(|&v| (v, 1.0)).collect(),
+                ConstraintSense::LessEq,
+                2.0 * vars as f64,
+                None,
+            );
+            for row in 0..rng.gen_range(1..5) {
+                let terms: Vec<(usize, f64)> =
+                    ids.iter().map(|&v| (v, rng.gen_range(-2.0..2.0))).collect();
+                let at_point: f64 = terms.iter().map(|&(v, a)| a * point[v]).sum();
+                let (sense, rhs) = match row % 3 {
+                    0 => (ConstraintSense::LessEq, at_point + rng.gen_range(0.0..1.0)),
+                    1 => (
+                        ConstraintSense::GreaterEq,
+                        at_point - rng.gen_range(0.0..1.0),
+                    ),
+                    _ => (ConstraintSense::Equal, at_point),
+                };
+                lp.add_constraint(terms, sense, rhs, None);
+            }
+            assert_duality(&lp);
+        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Machine-readable JSON load reports.
 //!
-//! [`LoadReport`] is what `loadgen` emits and what the `BENCH_*.json` perf
-//! trajectory consumes: scenario provenance, throughput, per-class latency
-//! quantiles, served-configuration quality, the full engine
-//! [`StatsSnapshot`](svgic_engine::StatsSnapshot) (via its `metrics()` list
-//! — nothing is re-derived here),
-//! and the configuration digest that ties the numbers to a replayable trace.
+//! [`LoadReport`] is what `loadgen` emits: scenario provenance, throughput,
+//! per-class latency quantiles, served-configuration quality, the full
+//! engine [`StatsSnapshot`](svgic_engine::StatsSnapshot) (via its
+//! `metrics()` list — nothing is re-derived here), and the configuration
+//! digest that ties the numbers to a replayable trace.
 //!
 //! The workspace has no serde (offline build), so the writer is a ~60-line
 //! hand-rolled JSON emitter; output is deterministic modulo the wall-clock
