@@ -25,8 +25,10 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
 /// `rates` (warm-start and shard-imbalance, parts per million) — appended
 /// after the span events. Counter timestamps sit on the deterministic tick
 /// axis (one tick renders as one millisecond), not the span clock, so the
-/// export never reads wall time. With an empty sample list the output is
-/// byte-identical to [`chrome_trace_json`].
+/// export itself never reads wall time. Every counter value is reproducible
+/// for a trace except `rates.imbalance_ppm`, which carries the ring's one
+/// busy-time field ([`TelemetrySample::imbalance_ppm`]). With an empty
+/// sample list the output is byte-identical to [`chrome_trace_json`].
 pub fn chrome_trace_json_with_counters(
     spans: &[SpanRecord],
     samples: &[TelemetrySample],
@@ -60,7 +62,7 @@ pub fn chrome_trace_json_with_counters(
     }
     for sample in samples {
         // One tick = 1000 µs on the display axis: purely positional, the
-        // ring records no wall-clock at all.
+        // ring records no timestamps at all.
         let ts = sample.tick * 1000;
         for (name, args) in [
             (

@@ -10,6 +10,12 @@
 //! yields byte-identical config digests, the same contract the tracer
 //! keeps.
 //!
+//! Every field but one is reproducible for a trace: two runs of one trace
+//! give the same counters and gauges at every tick. The exception is
+//! [`TelemetrySample::imbalance_ppm`], derived from the shards' wall-clock
+//! busy time; [`TelemetrySample::without_busy_time`] masks it for
+//! comparisons.
+//!
 //! Rates ride as parts-per-million integers so a sample is `Eq`-comparable
 //! and codecs stay fixed-width; [`TelemetrySample::warm_start_rate`] and
 //! friends convert back to floats for reports.
@@ -21,7 +27,9 @@ pub const RATE_PPM: u64 = 1_000_000;
 /// gauges as observed at the end of one driver tick.
 ///
 /// All fields are integers (rates in parts per million) so samples are
-/// `Eq`-comparable, hashable and trivially fixed-width on the wire.
+/// `Eq`-comparable, hashable and trivially fixed-width on the wire. Every
+/// field except [`imbalance_ppm`](Self::imbalance_ppm) is reproducible for
+/// a trace; compare runs through [`without_busy_time`](Self::without_busy_time).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TelemetrySample {
     /// Tick index this sample was taken at (monotone within a ring).
@@ -34,7 +42,10 @@ pub struct TelemetrySample {
     pub queue_depth: u64,
     /// Warm-start rate in parts per million (`0..=RATE_PPM`).
     pub warm_rate_ppm: u64,
-    /// Shard imbalance (max/mean busy-time ratio) in parts per million.
+    /// Shard imbalance (max/mean busy-time ratio) in parts per million:
+    /// `0` before any shard has run, else in `RATE_PPM..=shards × RATE_PPM`.
+    /// The one field derived from wall-clock time, so it varies between
+    /// runs of the same trace whenever there are two or more shards.
     pub imbalance_ppm: u64,
     /// Bytes held by session state (instances, index vectors, warm
     /// factors).
@@ -58,6 +69,17 @@ impl TelemetrySample {
     /// Shard imbalance as a plain ratio (`1.0` = perfectly balanced).
     pub fn shard_imbalance(&self) -> f64 {
         self.imbalance_ppm as f64 / RATE_PPM as f64
+    }
+
+    /// This sample with [`imbalance_ppm`](Self::imbalance_ppm), the one
+    /// field derived from wall-clock busy time, zeroed. Two runs of the same
+    /// trace give equal masked samples, so determinism checks compare these
+    /// with `==` and every other field stays under the equality.
+    pub fn without_busy_time(self) -> Self {
+        TelemetrySample {
+            imbalance_ppm: 0,
+            ..self
+        }
     }
 }
 
@@ -214,5 +236,26 @@ mod tests {
         };
         assert!((s.warm_start_rate() - 0.75).abs() < 1e-9);
         assert!((s.shard_imbalance() - 1.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn without_busy_time_masks_only_the_imbalance() {
+        let s = TelemetrySample {
+            imbalance_ppm: 1_250_000,
+            mem_total_bytes: 64,
+            ..sample(3)
+        };
+        let other_run = TelemetrySample {
+            imbalance_ppm: 1_900_000,
+            ..s
+        };
+        assert_ne!(s, other_run);
+        assert_eq!(s.without_busy_time(), other_run.without_busy_time());
+        assert_eq!(s.without_busy_time().imbalance_ppm, 0);
+        let grown = TelemetrySample {
+            mem_total_bytes: 65,
+            ..other_run
+        };
+        assert_ne!(s.without_busy_time(), grown.without_busy_time());
     }
 }

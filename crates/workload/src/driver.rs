@@ -445,6 +445,7 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use crate::synth::generate;
+    use svgic_obs::telemetry::RATE_PPM;
 
     fn tiny_trace() -> Trace {
         let mut scenario = Scenario::steady_mall().smoke();
@@ -455,23 +456,53 @@ mod tests {
     #[test]
     fn open_loop_run_is_deterministic() {
         let trace = tiny_trace();
-        let driver = LoadDriver::new(DriverConfig::default());
-        let a = driver.run(&trace);
-        let b = driver.run(&trace);
-        assert_eq!(a.config_digest, b.config_digest);
-        assert_eq!(a.requests, b.requests);
-        assert_eq!(a.engine.solves(), b.engine.solves());
-        assert!(a.requests > 0);
-        assert!(a.throughput_rps() > 0.0);
-        assert_eq!(a.sessions as usize, trace.session_count());
-        // Every session was closed by the trace (or the final sweep).
-        assert_eq!(a.engine.sessions_created, a.engine.sessions_closed);
-        // The default engine samples its telemetry ring on every driver
-        // flush: one sample per tick plus the final sweep, ticks monotone.
-        assert!(!a.telemetry.is_empty());
-        assert!(a.telemetry.windows(2).all(|w| w[0].tick < w[1].tick));
-        assert_eq!(a.telemetry, b.telemetry, "telemetry is deterministic");
-        assert!(a.telemetry.iter().any(|s| s.requests > 0));
+        let default = DriverConfig::default();
+        // One shard per core, then one shard and four shards whatever the
+        // core count.
+        for (workers, shards) in [
+            (default.engine.workers, default.engine.shards),
+            (1, 1),
+            (2, 4),
+        ] {
+            let mut config = default.clone();
+            config.engine.workers = workers;
+            config.engine.shards = shards;
+            let driver = LoadDriver::new(config);
+            let a = driver.run(&trace);
+            let b = driver.run(&trace);
+            assert_eq!(a.config_digest, b.config_digest);
+            assert_eq!(a.requests, b.requests);
+            assert_eq!(a.engine.solves(), b.engine.solves());
+            assert!(a.requests > 0);
+            assert!(a.throughput_rps() > 0.0);
+            assert_eq!(a.sessions as usize, trace.session_count());
+            // Every session was closed by the trace (or the final sweep).
+            assert_eq!(a.engine.sessions_created, a.engine.sessions_closed);
+            // The default engine samples its telemetry ring on every driver
+            // flush: one sample per tick plus the final sweep, ticks monotone.
+            assert!(!a.telemetry.is_empty());
+            assert!(a.telemetry.windows(2).all(|w| w[0].tick < w[1].tick));
+            let masked = |outcome: &LoadOutcome| -> Vec<TelemetrySample> {
+                outcome
+                    .telemetry
+                    .iter()
+                    .map(|s| s.without_busy_time())
+                    .collect()
+            };
+            assert_eq!(masked(&a), masked(&b), "telemetry is deterministic");
+            // The masked field is max/mean of the shards' busy time: no
+            // shard has run yet, or a ratio in [1, shards].
+            let shard_count = a.engine.shards.len() as u64;
+            for sample in a.telemetry.iter().chain(&b.telemetry) {
+                let imbalance = sample.imbalance_ppm;
+                assert!(
+                    imbalance == 0 || (RATE_PPM..=shard_count * RATE_PPM).contains(&imbalance),
+                    "imbalance {imbalance} ppm outside [1, {shard_count}] at tick {}",
+                    sample.tick
+                );
+            }
+            assert!(a.telemetry.iter().any(|s| s.requests > 0));
+        }
     }
 
     #[test]
