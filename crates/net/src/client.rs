@@ -14,7 +14,7 @@
 //! rejections come back as the engine's own error variants, decoded from the
 //! response payload.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -77,7 +77,11 @@ impl Default for RetryPolicy {
 
 /// A connection to a remote engine served by [`crate::NetServer`].
 pub struct NetClient {
+    /// Request frames go out here, one `write_all` each.
     stream: TcpStream,
+    /// Response frames come in here: a buffered clone of `stream`, so a
+    /// frame usually costs one `recv`.
+    reader: BufReader<TcpStream>,
     next_id: u64,
     tracer: Tracer,
     /// The address originally dialled — where a retrying client reconnects.
@@ -97,12 +101,11 @@ impl NetClient {
         addr: impl ToSocketAddrs,
         policy: RetryPolicy,
     ) -> io::Result<NetClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(policy.request_timeout)?;
+        let (stream, reader) = dial(addr, policy.request_timeout)?;
         let addr = stream.peer_addr().ok();
         Ok(NetClient {
             stream,
+            reader,
             next_id: 1,
             tracer: Tracer::default(),
             addr,
@@ -111,20 +114,13 @@ impl NetClient {
     }
 
     /// Dials a fresh connection to the original address, replacing the
-    /// (presumed dead) stream.
+    /// (presumed dead) stream and its reader.
     fn reconnect(&mut self) -> Result<(), FrameError> {
         let addr = self
             .addr
             .ok_or_else(|| FrameError::Io("peer address unknown; cannot reconnect".into()))?;
-        let stream =
-            TcpStream::connect(addr).map_err(|e| FrameError::Io(format!("reconnect: {e}")))?;
-        stream
-            .set_nodelay(true)
+        (self.stream, self.reader) = dial(addr, self.policy.request_timeout)
             .map_err(|e| FrameError::Io(format!("reconnect: {e}")))?;
-        stream
-            .set_read_timeout(self.policy.request_timeout)
-            .map_err(|e| FrameError::Io(format!("reconnect: {e}")))?;
-        self.stream = stream;
         Ok(())
     }
 
@@ -186,7 +182,7 @@ impl NetClient {
             },
         )?;
         loop {
-            let frame = read_frame(&mut self.stream)?;
+            let frame = read_frame(&mut self.reader)?;
             if frame.request_id == request_id {
                 return Ok(frame);
             }
@@ -206,6 +202,19 @@ impl NetClient {
             ))),
         }
     }
+}
+
+/// Connects with no Nagle delay and `request_timeout` on reads; returns the
+/// stream (for writes) and a buffered reader over a clone of it.
+fn dial(
+    addr: impl ToSocketAddrs,
+    request_timeout: Option<Duration>,
+) -> io::Result<(TcpStream, BufReader<TcpStream>)> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(request_timeout)?;
+    let reader = BufReader::new(stream.try_clone()?);
+    Ok((stream, reader))
 }
 
 impl EngineTransport for NetClient {

@@ -40,6 +40,9 @@ pub const VERSION: u8 = 1;
 /// or hostile length prefix cannot balloon memory.
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
+/// Bytes before the payload: magic, version, kind, request id, length.
+const HEADER_LEN: usize = 18;
+
 /// What a frame is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameKind {
@@ -131,17 +134,25 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// Writes one frame (header + payload) and flushes.
+/// Writes one frame in one `write_all` (so a `TCP_NODELAY` socket does not
+/// send the header as a segment of its own) and flushes. A payload over
+/// [`MAX_PAYLOAD`], which [`read_frame`] would reject, is refused with
+/// [`FrameError::Oversized`] before any byte is written.
 pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> Result<(), FrameError> {
-    debug_assert!(frame.payload.len() <= MAX_PAYLOAD as usize);
-    let mut header = [0u8; 18];
-    header[0..4].copy_from_slice(&MAGIC);
-    header[4] = VERSION;
-    header[5] = frame.kind.to_byte();
-    header[6..14].copy_from_slice(&frame.request_id.to_le_bytes());
-    header[14..18].copy_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    writer.write_all(&header)?;
-    writer.write_all(&frame.payload)?;
+    let len = frame.payload.len();
+    if len > MAX_PAYLOAD as usize {
+        return Err(FrameError::Oversized(
+            u32::try_from(len).unwrap_or(u32::MAX),
+        ));
+    }
+    let mut bytes = Vec::with_capacity(HEADER_LEN + len);
+    bytes.extend_from_slice(&MAGIC);
+    bytes.push(VERSION);
+    bytes.push(frame.kind.to_byte());
+    bytes.extend_from_slice(&frame.request_id.to_le_bytes());
+    bytes.extend_from_slice(&(len as u32).to_le_bytes());
+    bytes.extend_from_slice(&frame.payload);
+    writer.write_all(&bytes)?;
     writer.flush()?;
     Ok(())
 }
@@ -160,9 +171,9 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Frame, FrameError> {
             Err(e) => return Err(e.into()),
         }
     }
-    let mut rest = [0u8; 17];
+    let mut rest = [0u8; HEADER_LEN - 1];
     reader.read_exact(&mut rest)?;
-    let mut header = [0u8; 18];
+    let mut header = [0u8; HEADER_LEN];
     header[0] = first[0];
     header[1..].copy_from_slice(&rest);
 
@@ -262,5 +273,19 @@ mod tests {
             read_frame(&mut Cursor::new(&oversized)).err(),
             Some(FrameError::Oversized(u32::MAX))
         );
+    }
+
+    #[test]
+    fn oversized_payloads_are_refused_before_any_byte_is_written() {
+        let frame = Frame {
+            payload: vec![0; MAX_PAYLOAD as usize + 1],
+            ..sample()
+        };
+        let mut sink = Vec::new();
+        assert_eq!(
+            write_frame(&mut sink, &frame).err(),
+            Some(FrameError::Oversized(MAX_PAYLOAD + 1))
+        );
+        assert!(sink.is_empty(), "{} bytes leaked onto the wire", sink.len());
     }
 }

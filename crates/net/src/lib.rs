@@ -10,9 +10,10 @@
 //!   oversized lengths and mid-frame disconnects error cleanly before any
 //!   engine state is touched;
 //! * [`server`] — a blocking [`std::net::TcpListener`] server fronting one
-//!   [`svgic_engine::Engine`]: one acceptor, per-connection reader/writer
-//!   threads, and a single engine thread that handles requests in arrival
-//!   order (responses are matched to requests by id);
+//!   [`svgic_engine::Engine`] behind a lock: one acceptor, and one thread per
+//!   connection that reads a frame, serves it under the engine lock and
+//!   writes the response itself — one request in the engine at a time, each
+//!   connection's in order (responses are matched to requests by id);
 //! * [`client`] — [`NetClient`], which implements the same
 //!   [`EngineTransport`](svgic_engine::transport::EngineTransport) trait as
 //!   the in-process engine, so the `svgic-workload` load drivers and the

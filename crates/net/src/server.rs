@@ -1,63 +1,48 @@
-//! The blocking TCP server: one engine, one acceptor, per-connection reader
-//! and writer threads.
+//! The blocking TCP server: one engine behind a lock, one acceptor, and one
+//! thread per connection.
 //!
 //! Thread anatomy (all `std::thread`, no async runtime):
 //!
 //! ```text
-//!                  ┌────────────┐   Job (request id, EngineRequest,
-//!   conn A reader ─┤            │        reply sender)
-//!   conn B reader ─┤ mpsc queue ├──► engine thread (owns the Engine,
-//!   conn C reader ─┤            │    handles jobs strictly in arrival
-//!                  └────────────┘    order — the serving path stays
-//!                                    the engine's own batched scheduler)
-//!        ▲                                      │
-//!   acceptor thread                per-connection writer threads
-//!   (TcpListener::incoming)        (response frames, matched by id)
+//!   acceptor thread (TcpListener::incoming)
+//!        │ spawns
+//!        ▼
+//!   conn A thread ─┐  read frame → decode → lock ┌──────────────────┐
+//!   conn B thread ─┼──────────────────────────► │ Mutex<Engine>    │
+//!   conn C thread ─┘  ◄── unlock → write frame   │ (handle_traced)  │
+//!                                                └──────────────────┘
 //! ```
 //!
-//! Every connection gets its own reader thread (decodes frames into typed
-//! requests) and writer thread (serializes response frames); the single
-//! engine thread is the only place engine state is touched, so the server
-//! adds **no** concurrency semantics the in-process engine did not already
-//! have — a trace served over N connections is handled in the exact arrival
-//! order of its requests. Responses carry the request id of the frame that
-//! caused them, so a pipelining client can match them.
+//! Each connection's thread reads a frame, decodes it, locks the engine,
+//! calls [`Engine::handle_traced`], unlocks, and writes the response itself.
+//! One connection's requests are therefore handled in order, one at a time,
+//! and no two requests touch the engine at once: the server adds **no**
+//! concurrency semantics the in-process engine did not already have, and
+//! the serving path stays the engine's own batched scheduler. Responses
+//! carry the request id of the frame that caused them, so a pipelining
+//! client can match them.
+//!
+//! The engine lock is never held across socket I/O, so a client that stops
+//! reading stalls only its own thread. A lock poisoned by a panicking
+//! handler closes every connection that next reaches for it.
 //!
 //! Failure containment: a frame that fails to *decode* is answered with an
-//! `EngineError::Transport` response (the connection lives on); a stream
-//! whose framing is unrecoverable (bad magic, oversized length, mid-frame
-//! death) is dropped without the engine ever seeing a partial request — a
-//! malformed client cannot mutate any engine state.
+//! `EngineError::Transport` response (the connection lives on), as is a
+//! response too large to frame; a stream whose framing is unrecoverable (bad
+//! magic, oversized length, mid-frame death) is dropped without the engine
+//! ever seeing a partial request — a malformed client cannot mutate any
+//! engine state.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use svgic_engine::codec::{decode_request, encode_response};
-use svgic_engine::{Engine, EngineError, EngineRequest, Phase, SpanRecord, Tracer};
+use svgic_engine::{Engine, EngineError, EngineResponse, Phase, SpanRecord, Tracer};
 
-use crate::frame::{read_frame, write_frame, Frame, FrameKind};
-
-/// A unit of work handed from a connection reader to the engine thread.
-enum Job {
-    /// A decoded request plus the route back to its connection's writer.
-    Request {
-        request_id: u64,
-        request: EngineRequest,
-        reply: Sender<Frame>,
-        /// When the reader finished decoding the frame (tracing only, `None`
-        /// while tracing is off). The engine thread closes this into a
-        /// [`Phase::WireWait`] span at pickup: the time a decoded request
-        /// spent queued behind other connections' work.
-        decoded_at: Option<Instant>,
-    },
-    /// Stop the engine thread (sent when a client requests shutdown).
-    Shutdown,
-}
+use crate::frame::{read_frame, write_frame, Frame, FrameKind, MAX_PAYLOAD};
 
 /// A running server: an [`Engine`] fronted by a TCP listener.
 ///
@@ -70,7 +55,18 @@ enum Job {
 pub struct NetServer {
     addr: SocketAddr,
     acceptor: JoinHandle<()>,
-    engine_thread: JoinHandle<()>,
+}
+
+/// What every connection thread shares.
+struct Shared {
+    engine: Mutex<Engine>,
+    /// The engine's tracer (Arc-backed), so a wait span can start before
+    /// the lock is taken.
+    tracer: Tracer,
+    /// Set under the engine lock by a shutdown frame; every later request
+    /// (and accept) sees it and closes its connection.
+    stopping: AtomicBool,
+    addr: SocketAddr,
 }
 
 impl NetServer {
@@ -79,74 +75,23 @@ impl NetServer {
     pub fn bind(addr: impl ToSocketAddrs, engine: Engine) -> io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let (job_tx, job_rx) = channel::<Job>();
-        let stopping = Arc::new(AtomicBool::new(false));
-        // The readers need the tracer to stamp decode times, but the engine
-        // itself moves into its thread — clone the (Arc-backed) handle first.
-        let tracer = engine.tracer().clone();
-
-        let engine_thread = {
-            let tracer = tracer.clone();
-            std::thread::spawn(move || {
-                let mut engine = engine;
-                while let Ok(job) = job_rx.recv() {
-                    match job {
-                        Job::Request {
-                            request_id,
-                            request,
-                            reply,
-                            decoded_at,
-                        } => {
-                            // Close the wire-wait span: decode done → engine
-                            // pickup, the queueing delay the mpsc hop added.
-                            tracer.finish(
-                                decoded_at,
-                                Phase::WireWait,
-                                request_id,
-                                0,
-                                SpanRecord::NO_SHARD,
-                            );
-                            // Serve under the frame's request id so the
-                            // engine's Serve span (and everything inside it)
-                            // correlates with the id the client chose and
-                            // will see echoed.
-                            let result = engine.handle_traced(request_id, request);
-                            // A dead connection just drops its responses.
-                            let _ = reply.send(Frame {
-                                kind: FrameKind::Response,
-                                request_id,
-                                payload: encode_response(&result),
-                            });
-                        }
-                        Job::Shutdown => break,
-                    }
-                }
-            })
-        };
-
-        let acceptor = {
-            let stopping = Arc::clone(&stopping);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stopping.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let job_tx = job_tx.clone();
-                    let stopping = Arc::clone(&stopping);
-                    let tracer = tracer.clone();
-                    std::thread::spawn(move || {
-                        serve_connection(stream, addr, job_tx, stopping, tracer)
-                    });
-                }
-            })
-        };
-
-        Ok(NetServer {
+        let shared = Arc::new(Shared {
+            tracer: engine.tracer().clone(),
+            engine: Mutex::new(engine),
+            stopping: AtomicBool::new(false),
             addr,
-            acceptor,
-            engine_thread,
-        })
+        });
+        let acceptor = std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if shared.stopping.load(Ordering::SeqCst) {
+                    break;
+                }
+                let Ok(stream) = stream else { continue };
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || serve_connection(stream, &shared));
+            }
+        });
+        Ok(NetServer { addr, acceptor })
     }
 
     /// The address the server actually bound (resolves `:0` ports).
@@ -156,85 +101,118 @@ impl NetServer {
 
     /// Blocks until a client shuts the server down.
     pub fn join(self) {
-        let _ = self.engine_thread.join();
         let _ = self.acceptor.join();
     }
 }
 
-/// Reader half of one connection: decode frames, feed the engine queue,
-/// spawn the writer. Runs until the client hangs up, the stream desyncs, or
-/// a shutdown frame arrives.
-fn serve_connection(
-    stream: TcpStream,
-    server_addr: SocketAddr,
-    job_tx: Sender<Job>,
-    stopping: Arc<AtomicBool>,
-    tracer: Tracer,
-) {
+/// One connection: read a frame, serve it under the engine lock, write the
+/// response. Runs until the client hangs up, the stream desyncs, a write
+/// fails, or the server stops.
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let (conn_tx, conn_rx) = channel::<Frame>();
-    let writer = std::thread::spawn(move || {
-        let mut write_half = write_half;
-        while let Ok(frame) = conn_rx.recv() {
-            if write_frame(&mut write_half, &frame).is_err() {
-                break;
-            }
-        }
-    });
-
-    let mut read_half = stream;
+    let mut reader = BufReader::new(read_half);
+    let mut writer = stream;
     // Clean hangup or unrecoverable framing (bad magic, oversized length,
     // mid-frame death) falls out of the `while let`: the connection closes
     // and the engine is never touched by the broken bytes.
-    while let Ok(frame) = read_frame(&mut read_half) {
-        match frame.kind {
+    while let Ok(frame) = read_frame(&mut reader) {
+        let result = match frame.kind {
             FrameKind::Request => match decode_request(&frame.payload) {
                 Ok(request) => {
-                    if job_tx
-                        .send(Job::Request {
-                            request_id: frame.request_id,
-                            request,
-                            reply: conn_tx.clone(),
-                            decoded_at: tracer.begin(),
-                        })
-                        .is_err()
-                    {
-                        break; // engine thread already stopped
+                    let decoded_at = shared.tracer.begin();
+                    // A poisoned lock means a handler panicked, and a set
+                    // `stopping` means the server has shut down: either way,
+                    // close the connection.
+                    let Ok(mut engine) = shared.engine.lock() else {
+                        break;
+                    };
+                    if shared.stopping.load(Ordering::SeqCst) {
+                        break;
                     }
+                    // Decode done → lock acquired: the wait behind other
+                    // connections' work.
+                    shared.tracer.finish(
+                        decoded_at,
+                        Phase::WireWait,
+                        frame.request_id,
+                        0,
+                        SpanRecord::NO_SHARD,
+                    );
+                    // Serve under the frame's request id so the engine's
+                    // Serve span (and everything inside it) correlates with
+                    // the id the client chose and will see echoed.
+                    engine.handle_traced(frame.request_id, request)
                 }
                 // Structurally sound frame, malformed payload: tell the
                 // client and keep serving — the engine never saw it.
-                Err(e) => {
-                    let error: Result<svgic_engine::EngineResponse, EngineError> =
-                        Err(EngineError::Transport(format!("request decode: {e}")));
-                    let _ = conn_tx.send(Frame {
-                        kind: FrameKind::Response,
-                        request_id: frame.request_id,
-                        payload: encode_response(&error),
-                    });
-                }
+                Err(e) => Err(EngineError::Transport(format!("request decode: {e}"))),
             },
             FrameKind::Shutdown => {
-                stopping.store(true, Ordering::SeqCst);
-                let _ = job_tx.send(Job::Shutdown);
-                // Ack the shutdown, then poke the acceptor loose from
-                // its blocking accept with a throwaway connection.
-                let _ = conn_tx.send(Frame {
-                    kind: FrameKind::Shutdown,
-                    request_id: frame.request_id,
-                    payload: Vec::new(),
-                });
-                let _ = TcpStream::connect(server_addr);
+                // Set `stopping` under the engine lock, so the shutdown is
+                // ordered after any request already in the engine. Then ack
+                // it, and poke the acceptor loose from its blocking accept
+                // with a throwaway connection.
+                let engine = shared.engine.lock();
+                shared.stopping.store(true, Ordering::SeqCst);
+                drop(engine);
+                let _ = write_frame(
+                    &mut writer,
+                    &Frame {
+                        kind: FrameKind::Shutdown,
+                        request_id: frame.request_id,
+                        payload: Vec::new(),
+                    },
+                );
+                let _ = TcpStream::connect(shared.addr);
                 break;
             }
             // A server never receives response frames; the stream is
             // confused — drop it.
             FrameKind::Response => break,
+        };
+        let response = Frame {
+            kind: FrameKind::Response,
+            request_id: frame.request_id,
+            payload: response_payload(&result),
+        };
+        if write_frame(&mut writer, &response).is_err() {
+            break;
         }
     }
-    drop(conn_tx);
-    let _ = writer.join();
+}
+
+/// The response payload for `result`. One too large to frame becomes an
+/// [`EngineError::Transport`] response, so the client still gets an answer
+/// on a connection that stays in sync.
+fn response_payload(result: &Result<EngineResponse, EngineError>) -> Vec<u8> {
+    let payload = encode_response(result);
+    if payload.len() <= MAX_PAYLOAD as usize {
+        return payload;
+    }
+    encode_response(&Err(EngineError::Transport(format!(
+        "response of {} bytes exceeds the {MAX_PAYLOAD}-byte frame cap",
+        payload.len()
+    ))))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use svgic_engine::codec::decode_response;
+
+    #[test]
+    fn an_oversized_response_becomes_a_transport_error() {
+        let huge = Err(EngineError::Transport("x".repeat(MAX_PAYLOAD as usize)));
+        let payload = response_payload(&huge);
+        assert!(payload.len() < 1024, "{} bytes", payload.len());
+        match decode_response(&payload) {
+            Ok(Err(EngineError::Transport(message))) => {
+                assert!(message.contains("frame cap"), "{message}")
+            }
+            other => panic!("expected a transport error, got {other:?}"),
+        }
+    }
 }

@@ -1,18 +1,20 @@
-//! Malformed-frame and failure handling of the TCP server.
+//! Malformed-frame, failure and concurrency handling of the TCP server.
 //!
 //! The contract under test (ISSUE 5's malformed-frame satellite): truncated
 //! frames, bad magic, oversized length prefixes and mid-frame disconnects
 //! must error **cleanly** — no panic anywhere, no partial state mutation in
 //! the engine — and a malformed connection must never take the server down
-//! for well-behaved clients.
+//! for well-behaved clients. Neither may a client that stops reading, and
+//! requests from concurrent connections must each reach the engine whole.
 
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use svgic_core::example::running_example;
+use svgic_core::Configuration;
 use svgic_engine::prelude::*;
 use svgic_net::frame::{read_frame, write_frame, Frame, FrameKind};
 use svgic_net::{NetClient, NetServer, RetryPolicy};
@@ -121,7 +123,7 @@ fn malformed_connections_do_not_poison_the_server() {
 
 /// A semantically hostile `ImportSession` (valid frame, valid structure,
 /// invalid session state — e.g. λ = 2.0) is rejected at decode and answered
-/// with a Transport error; the engine thread survives and stays empty.
+/// with a Transport error; the server survives and the engine stays empty.
 #[test]
 fn hostile_import_cannot_kill_the_server() {
     let server = NetServer::bind("127.0.0.1:0", test_engine()).expect("binds");
@@ -135,7 +137,7 @@ fn hostile_import_cannot_kill_the_server() {
         .import_session(export)
         .expect_err("poisoned export must be rejected");
     assert!(matches!(err, EngineError::Transport(_)), "{err:?}");
-    // The engine thread is alive and no half-imported session exists.
+    // The server still serves and no half-imported session exists.
     let info = client.describe().expect("server still serves");
     assert_eq!(info.sessions, 0);
     // A clean export/import still round-trips on the same connection.
@@ -374,6 +376,141 @@ fn client_death_leaves_server_consistent() {
     let mut client = NetClient::connect(addr).expect("connects");
     let info = client.describe().expect("describes");
     assert_eq!(info.sessions, 1, "session survives its client");
+    client.shutdown_server().expect("shuts down");
+    server.join();
+}
+
+/// A client that writes requests but never reads its responses stalls only
+/// its own connection: the server blocks writing to it with the engine
+/// unlocked, so another client is still served.
+#[test]
+fn a_client_that_stops_reading_cannot_stall_the_others() {
+    let server = NetServer::bind("127.0.0.1:0", test_engine()).expect("binds");
+    let addr = server.local_addr();
+    let stalled = TcpStream::connect(addr).expect("connects");
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .expect("sets timeout");
+    let mut flood = stalled.try_clone().expect("clones");
+    let (stall_tx, stall_rx) = mpsc::channel();
+    let writer = std::thread::spawn(move || {
+        // Describe frames, 256 to a write; their responses are never read.
+        let mut batch = Vec::new();
+        for request_id in 0..256 {
+            write_frame(
+                &mut batch,
+                &Frame {
+                    kind: FrameKind::Request,
+                    request_id,
+                    payload: svgic_engine::codec::encode_request(&EngineRequest::Describe),
+                },
+            )
+            .expect("in-memory write");
+        }
+        let mut timed_out = false;
+        for _ in 0..(1 << 20) / 256 {
+            if let Err(e) = flood.write_all(&batch) {
+                timed_out = matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+                break;
+            }
+        }
+        let _ = stall_tx.send(timed_out);
+    });
+    // A write timeout shows the server has stopped reading the flood.
+    assert!(
+        stall_rx.recv().expect("writer reports"),
+        "the server kept reading a client that never reads"
+    );
+    let mut other = NetClient::connect_with_policy(
+        addr,
+        RetryPolicy {
+            max_retries: 0,
+            base_backoff: Duration::ZERO,
+            request_timeout: Some(Duration::from_secs(5)),
+        },
+    )
+    .expect("connects");
+    let info = other.describe().expect("served despite the stalled client");
+    assert_eq!(info.sessions, 0);
+    stalled.shutdown(Shutdown::Both).expect("shuts the socket");
+    writer.join().expect("writer thread");
+    other.shutdown_server().expect("shuts down");
+    server.join();
+}
+
+/// The parts of a view that do not name the session.
+type ViewKey = (Vec<usize>, Vec<usize>, Configuration, u64, u64, usize, u64);
+
+fn view_key(view: ConfigurationView) -> ViewKey {
+    (
+        view.present,
+        view.catalog,
+        view.configuration,
+        view.utility.to_bits(),
+        view.lp_bound.to_bits(),
+        view.staleness,
+        view.generation,
+    )
+}
+
+/// A fixed script of submits, forced re-solves and queries on one session
+/// of the running example; returns every view it was served.
+fn run_script(engine: &mut impl EngineTransport, seed: u64) -> Vec<ViewKey> {
+    use svgic_core::extensions::DynamicEvent::{Join, Leave};
+    let created = engine
+        .create_session(CreateSession {
+            initial_present: vec![0, 1],
+            ..create_spec(seed)
+        })
+        .expect("creates");
+    let session = created.session;
+    let mut views = vec![view_key(created)];
+    for round in 0..8 {
+        let events = if round % 2 == 0 {
+            [Join(2), Join(3)]
+        } else {
+            [Leave(3), Leave(2)]
+        };
+        for event in events {
+            engine
+                .submit_event(session, SessionEvent::Membership(event))
+                .expect("submits");
+        }
+        views.push(view_key(engine.force_resolve(session).expect("resolves")));
+        views.push(view_key(
+            engine.query_configuration(session).expect("queries"),
+        ));
+    }
+    views
+}
+
+/// Four clients drive one server at once, each on its own connection and
+/// its own session. Every request reaches the engine whole and alone, and
+/// solve seeds derive from (session seed, generation), so each client sees
+/// exactly what a fresh in-process engine serves for its script, however
+/// the four interleave.
+#[test]
+fn concurrent_connections_serialise_whole_requests() {
+    let server = NetServer::bind("127.0.0.1:0", test_engine()).expect("binds");
+    let addr = server.local_addr();
+    let start = Arc::new(Barrier::new(4));
+    let clients: Vec<_> = (0..4u64)
+        .map(|client| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut remote = NetClient::connect(addr).expect("connects");
+                start.wait();
+                (client, run_script(&mut remote, 100 + client))
+            })
+        })
+        .collect();
+    for handle in clients {
+        let (client, served) = handle.join().expect("client thread");
+        let expected = run_script(&mut test_engine(), 100 + client);
+        assert_eq!(served, expected, "client {client} saw another result");
+    }
+    let mut client = NetClient::connect(addr).expect("connects");
+    assert_eq!(client.describe().expect("describes").sessions, 4);
     client.shutdown_server().expect("shuts down");
     server.join();
 }

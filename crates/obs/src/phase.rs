@@ -23,7 +23,8 @@
 /// service: [`Phase::QueueWait`] measures how long a shard's oldest pending
 /// event sat enqueued before its shard pipeline job picked it up, and
 /// [`Phase::WireWait`] measures the server-side gap between a frame being
-/// decoded off the socket and the engine thread picking the request up.
+/// decoded off the socket and its connection thread acquiring the engine
+/// lock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Event admission into a session's pending queue.
@@ -51,8 +52,8 @@ pub enum Phase {
     /// Wait of a shard's oldest enqueued event between submit and its shard
     /// pipeline job starting (queueing, not service).
     QueueWait,
-    /// Server-side wait between a frame being decoded and the engine thread
-    /// picking the request up (queueing, not service).
+    /// Server-side wait between a frame being decoded and its connection
+    /// thread acquiring the engine lock (queueing, not service).
     WireWait,
 }
 
