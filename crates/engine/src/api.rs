@@ -133,8 +133,8 @@ pub enum EngineRequest {
 /// callers would read `Engine::workers()` / `session_count()` directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineInfo {
-    /// Worker threads the engine resolved (`0` configs resolve to one per
-    /// core, so this is never zero).
+    /// Workers the engine resolved, the calling thread included (`0`
+    /// configs resolve to one per core, so this is never zero).
     pub workers: usize,
     /// Session shards.
     pub shards: usize,

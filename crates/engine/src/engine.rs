@@ -5,12 +5,19 @@
 //!
 //! Events accumulate per session ([`crate::scheduler::coalesce`] folds them at
 //! dispatch time). Sessions hash to a **fixed shard** (`session id mod
-//! shards`), and a flush submits one pipeline job per busy shard: the job
+//! shards`), and a flush runs one pipeline job per busy shard: the job
 //! restricts the instance, resolves factors (session-affine reuse → shard
 //! factor cache → component-wise solve via [`crate::warm`]) and re-rounds its
 //! sessions in order. Shards own their caches outright, so a global flush
 //! never serializes on a shared cache path — the serial part of a flush is
 //! only the event coalescing and policy decisions.
+//!
+//! Shard `s` runs on lane `s mod workers`, and the thread that calls into
+//! the engine is one of the workers: [`WorkerPool`] spawns `workers − 1`
+//! threads. Each batch hands every busy lane but one to a pool thread and
+//! runs the lane of its highest busy shard itself, so a batch that touches
+//! one shard (every create, every forced re-solve) never crosses a thread,
+//! and a one-worker engine runs every shard on the caller, in shard order.
 //!
 //! Factor resolution inside a shard job:
 //!
@@ -45,7 +52,7 @@
 //! contents.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -77,11 +84,15 @@ use rand::SeedableRng;
 /// Engine-wide tunables.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker threads (`0` = one per available core).
+    /// Workers that run shard jobs, the calling thread included: the
+    /// engine spawns `workers − 1` threads (`0` = one worker per available
+    /// core).
     pub workers: usize,
     /// Session shards (`0` = one per worker). Sessions map to shard
     /// `session id mod shards`; each shard owns a factor cache and a warm
-    /// component cache and always runs on worker `shard mod workers`.
+    /// component cache and always runs on lane `shard mod workers` — the
+    /// calling thread or one pool thread, whichever holds that lane in the
+    /// batch.
     pub shards: usize,
     /// Per-shard factor-cache capacity in factor sets (`0` disables factor
     /// caching).
@@ -178,7 +189,7 @@ struct SolveOutcome {
 }
 
 /// Caches owned by one shard. Only the shard's own pipeline job touches them
-/// (one job per shard per flush, pinned to a fixed worker), so the mutex is
+/// (one job per shard per flush, on the shard's lane), so the mutex is
 /// uncontended — it exists to move the state into the job and back, not to
 /// arbitrate access.
 #[derive(Debug)]
@@ -286,7 +297,8 @@ impl Engine {
         self.pending_total
     }
 
-    /// Number of worker threads.
+    /// Number of workers, the calling thread included (`0` configured
+    /// resolves to one per core).
     pub fn workers(&self) -> usize {
         self.pool.workers()
     }
@@ -345,9 +357,10 @@ impl Engine {
     /// Brings every gauge up to date before a read. Shard jobs publish their
     /// cache gauges after sending their last outcome but before releasing the
     /// shard lock, so a batch can look finished (all outcomes drained) while
-    /// a worker's gauge store is still in flight. Briefly taking each shard
-    /// lock fences those stores, so every read — telemetry sampling, the wire
-    /// `Stats` request, local reads — sees the post-batch cache sizes.
+    /// a pool thread's gauge store is still in flight. Briefly taking each
+    /// shard lock fences those stores, so every read — telemetry sampling,
+    /// the wire `Stats` request, local reads — sees the post-batch cache
+    /// sizes.
     fn settle_gauges(&self) {
         for shard in &self.shards {
             // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
@@ -919,64 +932,44 @@ impl Engine {
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
 
         // ---- Shard jobs: restrict, resolve factors, round — in parallel
-        // across shards, sequentially (in session order) within a shard ----
+        // across lanes, sequentially (in session order) within a shard ----
+        // Shard `s` runs on lane `s mod workers`, and the calling thread is
+        // one of the workers: it takes the lane of the highest busy shard,
+        // and every other busy lane goes to its own pool thread (lane `l` to
+        // thread `l` below the caller's lane, `l − 1` above it). A batch on
+        // one lane therefore never crosses a thread.
         let (result_tx, result_rx) = channel();
-        let warm_enabled = self.config.policy.warm_start_lp;
+        let lanes = self.pool.workers();
+        let caller_lane = buckets.keys().next_back().map_or(0, |&shard| shard % lanes);
+        let mut caller_jobs = Vec::new();
         for (shard, plans) in buckets {
-            let tx = result_tx.clone();
-            let shard_state = Arc::clone(&self.shards[shard]);
-            let stats = Arc::clone(&self.stats);
-            let tracer = self.tracer.clone();
-            let enqueued_at = queue_waits.get(&shard).copied();
-            stats.record_shard_dispatch(shard, plans.len() as u64);
-            let options = RelaxationOptions {
-                backend: self.config.backend,
-                ..RelaxationOptions::default()
-            };
-            let sampling = self.config.sampling;
-            let max_idle = self.config.max_idle_iterations;
-            self.pool.execute_on(
+            self.stats.record_shard_dispatch(shard, plans.len() as u64);
+            let job = ShardJob {
                 shard,
-                Box::new(move || {
-                    // lint: allow(wall-clock, worker busy-clock telemetry only; solve results never read it)
-                    let busy_started = Instant::now();
-                    // Queueing ends where service begins: the shard's oldest
-                    // pending event waited from enqueue to this pickup.
-                    if let Some(enqueued_at) = enqueued_at {
-                        stats.record_queue_wait(enqueued_at.elapsed().as_nanos() as u64);
-                        tracer.finish(
-                            tracer.is_enabled().then_some(enqueued_at),
-                            Phase::QueueWait,
-                            0,
-                            0,
-                            shard as u32,
-                        );
-                    }
-                    let t_dispatch = tracer.begin();
-                    // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
-                    let mut state = shard_state.lock().expect("shard poisoned");
-                    run_shard_plans(
-                        &mut state,
-                        plans,
-                        shard,
-                        &options,
-                        warm_enabled,
-                        sampling,
-                        max_idle,
-                        &stats,
-                        &tracer,
-                        &tx,
-                    );
-                    stats.set_shard_cache_gauges(
-                        shard,
-                        state.factors.len(),
-                        state.factors.footprint_bytes(),
-                    );
-                    drop(state);
-                    tracer.finish(t_dispatch, Phase::ShardDispatch, 0, 0, shard as u32);
-                    stats.record_shard_busy(shard, busy_started.elapsed().as_nanos() as u64);
-                }),
-            );
+                plans,
+                state: Arc::clone(&self.shards[shard]),
+                enqueued_at: queue_waits.get(&shard).copied(),
+                options: RelaxationOptions {
+                    backend: self.config.backend,
+                    ..RelaxationOptions::default()
+                },
+                warm_enabled: self.config.policy.warm_start_lp,
+                sampling: self.config.sampling,
+                max_idle: self.config.max_idle_iterations,
+                stats: Arc::clone(&self.stats),
+                tracer: self.tracer.clone(),
+            };
+            let lane = shard % lanes;
+            if lane == caller_lane {
+                caller_jobs.push(job);
+            } else {
+                let thread = if lane < caller_lane { lane } else { lane - 1 };
+                let tx = result_tx.clone();
+                self.pool.execute_on(thread, Box::new(move || job.run(&tx)));
+            }
+        }
+        for job in caller_jobs {
+            job.run(&result_tx);
         }
         drop(result_tx);
         let mut outcomes: Vec<SolveOutcome> = (0..planned)
@@ -1037,25 +1030,70 @@ fn shard_index(id: u64, shard_count: usize) -> usize {
     (id % shard_count as u64) as usize
 }
 
-/// Executes one shard's plans: restrict the instance, resolve factors
-/// (session-affine reuse → shard cache → component-wise solve), re-round, and
-/// stream the outcomes back. Runs pinned to the shard's worker with the shard
-/// state locked for the whole job.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_plans(
-    shard: &mut ShardState,
+/// One busy shard's share of a batch: its plans plus everything the job
+/// reads, owned so that a pool thread and the calling thread run it alike.
+struct ShardJob {
+    shard: usize,
     plans: Vec<SolvePlan>,
-    shard_index: usize,
-    options: &RelaxationOptions,
+    state: Arc<Mutex<ShardState>>,
+    /// When the shard's oldest drained event was enqueued (`None` when the
+    /// shard had no pending event to attribute a wait to).
+    enqueued_at: Option<Instant>,
+    options: RelaxationOptions,
     warm_enabled: bool,
     sampling: SamplingScheme,
     max_idle: usize,
-    stats: &EngineStats,
-    tracer: &Tracer,
-    tx: &std::sync::mpsc::Sender<SolveOutcome>,
+    stats: Arc<EngineStats>,
+    tracer: Tracer,
+}
+
+impl ShardJob {
+    /// Runs the job whole under its shard lock: records the queue wait,
+    /// runs the plans, publishes the shard's cache gauges and busy time.
+    fn run(mut self, tx: &Sender<SolveOutcome>) {
+        let (shard, lane) = (self.shard, self.shard as u32);
+        // lint: allow(wall-clock, worker busy-clock telemetry only; solve results never read it)
+        let busy_started = Instant::now();
+        // Queueing ends where service begins: the shard's oldest pending
+        // event waited from enqueue to this pickup.
+        if let Some(enqueued_at) = self.enqueued_at {
+            let waited = enqueued_at.elapsed().as_nanos() as u64;
+            self.stats.record_queue_wait(waited);
+            let started = self.tracer.is_enabled().then_some(enqueued_at);
+            self.tracer.finish(started, Phase::QueueWait, 0, 0, lane);
+        }
+        let t_dispatch = self.tracer.begin();
+        let plans = std::mem::take(&mut self.plans);
+        // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
+        let mut state = self.state.lock().expect("shard poisoned");
+        run_shard_plans(&mut state, plans, &self, tx);
+        self.stats.set_shard_cache_gauges(
+            shard,
+            state.factors.len(),
+            state.factors.footprint_bytes(),
+        );
+        drop(state);
+        self.tracer
+            .finish(t_dispatch, Phase::ShardDispatch, 0, 0, lane);
+        let busy = busy_started.elapsed().as_nanos() as u64;
+        self.stats.record_shard_busy(shard, busy);
+    }
+}
+
+/// Executes one shard's plans: restrict the instance, resolve factors
+/// (session-affine reuse → shard cache → component-wise solve), re-round, and
+/// stream the outcomes back. Runs on the shard's lane with the shard state
+/// locked for the whole job; `job` supplies everything but the plans.
+fn run_shard_plans(
+    shard: &mut ShardState,
+    plans: Vec<SolvePlan>,
+    job: &ShardJob,
+    tx: &Sender<SolveOutcome>,
 ) {
     use std::sync::atomic::Ordering;
-    let shard_lane = shard_index as u32;
+    let (stats, tracer, options) = (&job.stats, &job.tracer, &job.options);
+    let (warm_enabled, sampling, max_idle) = (job.warm_enabled, job.sampling, job.max_idle);
+    let shard_lane = job.shard as u32;
 
     // Factors computed by *this* job, keyed by fingerprint. Checked before
     // the shard cache so (a) batch dedup survives `cache_capacity: 0` (the

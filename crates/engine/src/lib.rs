@@ -30,9 +30,10 @@
 //!   across social-graph components, so re-solves reuse cached factors of
 //!   every component a membership delta did not touch (byte-identical to a
 //!   cold solve, just cheaper);
-//! * [`pool`] — the `std::thread` worker pool with per-worker queues;
-//!   sessions hash to fixed shards, each flush runs one pipeline job per
-//!   busy shard against shard-owned caches;
+//! * [`pool`] — the `std::thread` worker pool with per-thread queues, in
+//!   which the calling thread is one of the workers; sessions hash to fixed
+//!   shards, each flush runs one pipeline job per busy shard against
+//!   shard-owned caches;
 //! * [`stats`] — engine counters: requests, cache hit rate, solve latencies,
 //!   utility-vs-LP-bound gap;
 //! * [`profile`] — the per-template cost-attribution [`SolveLedger`]

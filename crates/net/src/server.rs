@@ -23,8 +23,10 @@
 //! client can match them.
 //!
 //! The engine lock is never held across socket I/O, so a client that stops
-//! reading stalls only its own thread. A lock poisoned by a panicking
-//! handler closes every connection that next reaches for it.
+//! reading stalls only its own thread, and only for [`WRITE_TIMEOUT`]: a
+//! response write that makes no progress for that long closes the
+//! connection and frees its thread. A lock poisoned by a panicking handler
+//! closes every connection that next reaches for it.
 //!
 //! Failure containment: a frame that fails to *decode* is answered with an
 //! `EngineError::Transport` response (the connection lives on), as is a
@@ -38,11 +40,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use svgic_engine::codec::{decode_request, encode_response};
 use svgic_engine::{Engine, EngineError, EngineResponse, Phase, SpanRecord, Tracer};
 
 use crate::frame::{read_frame, write_frame, Frame, FrameKind, MAX_PAYLOAD};
+
+/// How long a response write may make no progress before the server closes
+/// the connection: a client that stops reading holds its thread no longer.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A running server: an [`Engine`] fronted by a TCP listener.
 ///
@@ -107,9 +114,12 @@ impl NetServer {
 
 /// One connection: read a frame, serve it under the engine lock, write the
 /// response. Runs until the client hangs up, the stream desyncs, a write
-/// fails, or the server stops.
+/// fails or times out, or the server stops.
 fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+        return;
+    }
     let Ok(read_half) = stream.try_clone() else {
         return;
     };

@@ -4,8 +4,10 @@
 //! frames, bad magic, oversized length prefixes and mid-frame disconnects
 //! must error **cleanly** — no panic anywhere, no partial state mutation in
 //! the engine — and a malformed connection must never take the server down
-//! for well-behaved clients. Neither may a client that stops reading, and
-//! requests from concurrent connections must each reach the engine whole.
+//! for well-behaved clients. Neither may a client that stops reading, which
+//! the server hangs up on once a response write has stalled for its write
+//! timeout, and requests from concurrent connections must each reach the
+//! engine whole.
 
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -17,6 +19,7 @@ use svgic_core::example::running_example;
 use svgic_core::Configuration;
 use svgic_engine::prelude::*;
 use svgic_net::frame::{read_frame, write_frame, Frame, FrameKind};
+use svgic_net::server::WRITE_TIMEOUT;
 use svgic_net::{NetClient, NetServer, RetryPolicy};
 
 fn test_engine() -> Engine {
@@ -394,19 +397,7 @@ fn a_client_that_stops_reading_cannot_stall_the_others() {
     let mut flood = stalled.try_clone().expect("clones");
     let (stall_tx, stall_rx) = mpsc::channel();
     let writer = std::thread::spawn(move || {
-        // Describe frames, 256 to a write; their responses are never read.
-        let mut batch = Vec::new();
-        for request_id in 0..256 {
-            write_frame(
-                &mut batch,
-                &Frame {
-                    kind: FrameKind::Request,
-                    request_id,
-                    payload: svgic_engine::codec::encode_request(&EngineRequest::Describe),
-                },
-            )
-            .expect("in-memory write");
-        }
+        let batch = describe_batch();
         let mut timed_out = false;
         for _ in 0..(1 << 20) / 256 {
             if let Err(e) = flood.write_all(&batch) {
@@ -432,9 +423,68 @@ fn a_client_that_stops_reading_cannot_stall_the_others() {
     .expect("connects");
     let info = other.describe().expect("served despite the stalled client");
     assert_eq!(info.sessions, 0);
-    stalled.shutdown(Shutdown::Both).expect("shuts the socket");
+    // The server may already have hung up on the stalled client (see the
+    // next test), which can fail the shutdown of a reset socket.
+    let _ = stalled.shutdown(Shutdown::Both);
     writer.join().expect("writer thread");
     other.shutdown_server().expect("shuts down");
+    server.join();
+}
+
+/// 256 `Describe` request frames in one buffer, for a client that floods
+/// the server and never reads the responses.
+fn describe_batch() -> Vec<u8> {
+    let mut batch = Vec::new();
+    for request_id in 0..256 {
+        write_frame(
+            &mut batch,
+            &Frame {
+                kind: FrameKind::Request,
+                request_id,
+                payload: svgic_engine::codec::encode_request(&EngineRequest::Describe),
+            },
+        )
+        .expect("in-memory write");
+    }
+    batch
+}
+
+/// A client that never reads cannot hold its connection thread forever:
+/// once a response write has made no progress for [`WRITE_TIMEOUT`], the
+/// server closes the connection, and the client's own writes then fail with
+/// a reset or a broken pipe instead of only ever timing out.
+#[test]
+fn the_server_hangs_up_on_a_client_that_never_reads() {
+    let server = NetServer::bind("127.0.0.1:0", test_engine()).expect("binds");
+    let addr = server.local_addr();
+    let mut flood = TcpStream::connect(addr).expect("connects");
+    flood
+        .set_write_timeout(Some(Duration::from_millis(250)))
+        .expect("sets timeout");
+    let batch = describe_batch();
+    // The slack covers the flood filling both socket buffers, and the
+    // receiving kernel compacting its queue, which lets the server's writes
+    // trickle on for several seconds before one makes no progress at all.
+    let deadline = Instant::now() + WRITE_TIMEOUT + Duration::from_secs(30);
+    let failure = loop {
+        match flood.write_all(&batch) {
+            Err(e) if !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                break Some(e.kind())
+            }
+            _ if Instant::now() > deadline => break None,
+            _ => {}
+        }
+    };
+    assert!(
+        matches!(
+            failure,
+            Some(ErrorKind::ConnectionReset | ErrorKind::BrokenPipe)
+        ),
+        "the server never hung up on a client that never reads (write failure: {failure:?})"
+    );
+    let mut client = NetClient::connect(addr).expect("connects");
+    assert_eq!(client.describe().expect("still serving").sessions, 0);
+    client.shutdown_server().expect("shuts down");
     server.join();
 }
 

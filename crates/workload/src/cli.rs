@@ -57,7 +57,7 @@ pub struct Args {
     pub mode: DriveMode,
     /// Warmup ticks before measurement.
     pub warmup: usize,
-    /// Engine worker threads (`0` = one per core).
+    /// Engine workers, the calling thread included (`0` = one per core).
     pub workers: usize,
     /// In-process cluster nodes (`0` = bare engine).
     pub nodes: usize,
@@ -237,7 +237,10 @@ pub fn flags() -> &'static [FlagSpec] {
             name: "--workers",
             value: Some("<N>"),
             example: "2",
-            help: &["engine worker threads (default: one per core)"],
+            help: &[
+                "engine workers, the calling thread included: spawns",
+                "N-1 threads (default: one worker per core)",
+            ],
             generation_only: false,
             engine_side: true,
             apply: |args, value| {

@@ -163,8 +163,9 @@ pub struct LoadOutcome {
     pub trace_events: usize,
     /// Sessions opened over the whole run.
     pub sessions: u64,
-    /// Worker threads the engine actually ran with (resolved by the engine,
-    /// so reports never re-derive the `0 = one per core` default).
+    /// Workers the engine actually ran with, the calling thread included
+    /// (resolved by the engine, so reports never re-derive the `0 = one
+    /// per core` default).
     pub workers: usize,
     /// Per-class latency histograms.
     pub latency: LatencyBreakdown,

@@ -109,3 +109,35 @@ fn load_report_serializes_engine_snapshot_without_rederiving() {
         "report must embed the snapshot-computed rate, got:\n{json}"
     );
 }
+
+/// Served configurations do not depend on the engine's shape: a churn-heavy
+/// and a steady-mall trace each get one config digest and one solve count
+/// on every (workers, shards) pair — one worker running several shards
+/// itself, and the calling thread taking one of several lanes.
+#[test]
+fn served_configurations_do_not_depend_on_engine_shape() {
+    let churn = Scenario {
+        ticks: 24,
+        ..Scenario::churn_heavy().smoke()
+    };
+    for scenario in [churn, Scenario::steady_mall().smoke()] {
+        let trace = generate(&scenario, 11);
+        let served = |workers: usize, shards: usize| {
+            let mut config = DriverConfig::default();
+            config.engine.workers = workers;
+            config.engine.shards = shards;
+            let outcome = LoadDriver::new(config).run(&trace);
+            (outcome.config_digest, outcome.engine.solves())
+        };
+        let expected = served(1, 1);
+        assert!(expected.1 > 0, "{}: nothing was solved", scenario.name);
+        for (workers, shards) in [(1, 4), (2, 2), (2, 4), (3, 2)] {
+            assert_eq!(
+                served(workers, shards),
+                expected,
+                "{}: {workers} workers on {shards} shards serve differently from 1 on 1",
+                scenario.name
+            );
+        }
+    }
+}
