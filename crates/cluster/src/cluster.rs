@@ -859,7 +859,7 @@ impl<B: EngineTransport> Cluster<B> {
             }
         }
         ClusterSnapshot {
-            merged: merged.unwrap_or_else(|| svgic_engine::EngineStats::default().snapshot()),
+            merged: merged.unwrap_or_default(),
             nodes,
             stats: self.stats.clone(),
         }

@@ -637,14 +637,20 @@ fn validate_export(export: &SessionExport) -> Result<(), CodecError> {
         }
     }
     if let Some(factors) = &export.last_factors {
-        // Factors are computed over the base instance: full population ×
-        // active catalogue (see `SessionState`).
-        if factors.num_users() != n || factors.num_items() != export.catalog.len() {
+        // Factors span the active catalogue, over the full population (the
+        // base instance, see `SessionState`) or, after a full LP, over the
+        // shoppers present at that solve: the present ones, or any part of
+        // the population once everyone has left. The engine reuses factors
+        // only when their shape fits the solve.
+        let rows = factors.num_users();
+        let rows_fit =
+            rows == n || rows == export.present.len() || (export.present.is_empty() && rows < n);
+        if !rows_fit || factors.num_items() != export.catalog.len() {
             return invalid(format!(
-                "warm factors are {}×{}, base instance is {n}×{}",
-                factors.num_users(),
+                "warm factors are {rows}×{}, base instance is {n}×{} with {} present",
                 factors.num_items(),
-                export.catalog.len()
+                export.catalog.len(),
+                export.present.len()
             ));
         }
     }
@@ -1458,24 +1464,17 @@ mod tests {
 
     #[test]
     fn sparse_histograms_roundtrip_including_empty_and_single_bucket() {
-        use svgic_obs::AtomicHistogram;
         // Shapes: empty, a single bucket, and a multi-bucket spread. The
         // codec must rebuild totals exactly (total is derived on decode).
-        let empty = AtomicHistogram::new().snapshot();
-        let single = {
-            let h = AtomicHistogram::new();
-            for _ in 0..5 {
-                h.record_nanos(1_500);
-            }
-            h.snapshot()
-        };
-        let spread = {
-            let h = AtomicHistogram::new();
-            for i in 0..200u64 {
-                h.record_nanos(i * i * 997 + 1);
-            }
-            h.snapshot()
-        };
+        let empty = HistogramSnapshot::default();
+        let mut single = HistogramSnapshot::default();
+        for _ in 0..5 {
+            single.record_nanos(1_500);
+        }
+        let mut spread = HistogramSnapshot::default();
+        for i in 0..200u64 {
+            spread.record_nanos(i * i * 997 + 1);
+        }
         for (what, snapshot) in [("empty", empty), ("single", single), ("spread", spread)] {
             let mut w = Writer::new();
             write_histogram(&mut w, &snapshot);
@@ -1500,10 +1499,14 @@ mod tests {
 
     #[test]
     fn stats_snapshots_carry_mem_and_cache_byte_fields() {
-        let stats = crate::stats::EngineStats::with_shards(2);
-        stats.set_mem_gauges(1000, 200, 50);
-        stats.set_shard_cache_gauges(1, 1, 777);
-        let snapshot = stats.snapshot();
+        let mut snapshot = StatsSnapshot {
+            mem_session_bytes: 1000,
+            mem_pending_bytes: 200,
+            mem_served_bytes: 50,
+            ..StatsSnapshot::with_shards(2)
+        };
+        snapshot.shards[1].cache_entries = 1;
+        snapshot.shards[1].cache_bytes = 777;
         let bytes = encode_response(&Ok(EngineResponse::Stats(Box::new(snapshot.clone()))));
         match decode_response(&bytes).expect("decodes") {
             Ok(EngineResponse::Stats(decoded)) => {

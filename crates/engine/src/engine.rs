@@ -50,11 +50,24 @@
 //! applied in session order, so served configurations are reproducible under
 //! a fixed seed regardless of worker scheduling, shard count, or cache
 //! contents.
+//!
+//! # Counting
+//!
+//! Pool threads write no counter. Each shard job returns what it measured —
+//! its outcomes (each naming the layer that served its factors, with the LP
+//! time of a fresh computation), the queue wait, the shard's cache gauges
+//! and its busy time — and the calling thread records it in the engine's
+//! one [`StatsSnapshot`] once every job has reported. A report writes only
+//! its own shard's slots and the queue-wait histogram, whose contents do not
+//! depend on the order of records, and outcomes apply in session order. So
+//! the counters do not depend on which thread ran a job, every gauge is
+//! exact when a batch returns, and [`Engine::stats`] is a copy that takes no
+//! lock.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use svgic_algorithms::avg::round_with_factors;
 use svgic_algorithms::factors::RelaxationOptions;
@@ -70,12 +83,13 @@ use crate::api::{
 };
 use crate::cache::FactorCache;
 use crate::fingerprint::instance_fingerprint;
+use crate::mem::SessionFootprint;
 use crate::policy::{LpStart, PolicyInputs, ResolveKind, ResolvePolicy};
 use crate::pool::WorkerPool;
 use crate::profile::{EngineProfile, SolveLedger};
 use crate::scheduler::coalesce;
 use crate::session::{Served, SessionExport, SessionState};
-use crate::stats::{EngineStats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 use crate::warm::{solve_factors_warm, CacheMode};
 use svgic_obs::{ObsConfig, Phase, SpanRecord, TelemetryRing, TelemetrySample, Tracer};
 
@@ -182,10 +196,83 @@ struct SolveOutcome {
     /// The session's base-instance (template) fingerprint — the ledger's
     /// attribution key.
     base_fingerprint: u64,
-    /// Whether the factors came from a reuse layer (vs. computed cold).
-    warm_served: bool,
+    /// The layer that served the factors.
+    source: FactorSource,
     /// Whole-solve wall time (factor resolution through rounding).
     solve_nanos: u64,
+}
+
+/// Which layer served a solve's factors.
+#[derive(Clone, Copy, Debug)]
+enum FactorSource {
+    /// The session's own last factors (session-affine reuse).
+    Session,
+    /// Factors an earlier solve of the same shard job computed.
+    Batch,
+    /// The shard's fingerprint-keyed factor cache.
+    Cache,
+    /// A fresh LP computation: its wall time, and how many social-graph
+    /// components it reused from the component cache and solved.
+    Computed {
+        lp_nanos: u64,
+        reused: u64,
+        solved: u64,
+    },
+}
+
+impl FactorSource {
+    /// Whether a reuse layer served the factors (vs. a fresh computation).
+    fn is_warm(self) -> bool {
+        !matches!(self, FactorSource::Computed { .. })
+    }
+}
+
+impl SolveOutcome {
+    /// Records what the solve measured: its resolve kind, the layer that
+    /// served its factors, its warm/cold class, its rounding and, for a
+    /// tight bound, its utility gap.
+    fn record(&self, stats: &mut StatsSnapshot) {
+        match self.kind {
+            ResolveKind::Incremental => stats.solves_incremental += 1,
+            ResolveKind::FullLp => stats.solves_full += 1,
+        }
+        match self.source {
+            FactorSource::Session => {
+                stats.cache_hits += 1;
+                stats.session_reuse += 1;
+            }
+            FactorSource::Batch => stats.batch_shared += 1,
+            FactorSource::Cache => stats.cache_hits += 1,
+            FactorSource::Computed {
+                lp_nanos,
+                reused,
+                solved,
+            } => {
+                stats.cache_misses += 1;
+                stats.record_lp_compute(lp_nanos, reused, solved);
+            }
+        }
+        stats.record_solve_class(self.solve_nanos, self.source.is_warm());
+        stats.record_round(self.round_nanos);
+        if self.tight {
+            stats.record_gap(self.utility, self.lp_bound);
+        }
+    }
+}
+
+/// What one shard job measured, returned to the thread that runs the batch.
+struct ShardReport {
+    shard: usize,
+    /// The job's solves, in session order.
+    outcomes: Vec<SolveOutcome>,
+    /// How long the shard's oldest drained event waited for this job
+    /// (`None` when the job had no pending event to attribute a wait to).
+    queue_wait_nanos: Option<u64>,
+    /// The shard's factor-cache entries and bytes when the job finished.
+    cache_entries: u64,
+    cache_bytes: u64,
+    /// The job's wall time.
+    busy_nanos: u64,
 }
 
 /// Caches owned by one shard. Only the shard's own pipeline job touches them
@@ -215,7 +302,9 @@ pub struct Engine {
     next_session: u64,
     shards: Vec<Arc<Mutex<ShardState>>>,
     pool: WorkerPool,
-    stats: Arc<EngineStats>,
+    /// The engine counters, recorded on the thread that calls into the
+    /// engine.
+    stats: StatsSnapshot,
     tracer: Tracer,
     /// The wire request id currently being served by [`Engine::handle_traced`]
     /// (0 between requests), so spans recorded inside the handler correlate
@@ -265,7 +354,7 @@ impl Engine {
             next_session: 1,
             shards,
             pool,
-            stats: Arc::new(EngineStats::with_shards(shard_count)),
+            stats: StatsSnapshot::with_shards(shard_count),
             tracer,
             current_request: 0,
             pending_total: 0,
@@ -327,15 +416,20 @@ impl Engine {
             .sum()
     }
 
-    /// A point-in-time snapshot of the engine counters. Refreshes the
-    /// session-side `mem_*` gauges first (an O(sessions) arithmetic walk —
-    /// strictly read-side, never touching matrix data).
+    /// A copy of the engine counters, with the ledger and the session-side
+    /// `mem_*` gauges filled in (an O(sessions) arithmetic walk — strictly
+    /// read-side, never touching matrix data). Every shard job has reported
+    /// by the time its batch returns, so the copy needs no shard lock.
     pub fn stats(&self) -> StatsSnapshot {
-        self.settle_gauges();
-        let mut snapshot = self.stats.snapshot();
-        snapshot.profile = self.ledger.entries();
-        snapshot.profile_dropped = self.ledger.dropped();
-        snapshot
+        let sessions = self.sessions_footprint();
+        StatsSnapshot {
+            profile: self.ledger.entries(),
+            profile_dropped: self.ledger.dropped(),
+            mem_session_bytes: sessions.session_bytes,
+            mem_pending_bytes: sessions.pending_bytes,
+            mem_served_bytes: sessions.served_bytes,
+            ..self.stats.clone()
+        }
     }
 
     /// The engine's full profile: the per-template ledger plus the critical
@@ -354,43 +448,26 @@ impl Engine {
         }
     }
 
-    /// Brings every gauge up to date before a read. Shard jobs publish their
-    /// cache gauges after sending their last outcome but before releasing the
-    /// shard lock, so a batch can look finished (all outcomes drained) while
-    /// a pool thread's gauge store is still in flight. Briefly taking each
-    /// shard lock fences those stores, so every read — telemetry sampling,
-    /// the wire `Stats` request, local reads — sees the post-batch cache
-    /// sizes.
-    fn settle_gauges(&self) {
-        for shard in &self.shards {
-            // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
-            drop(shard.lock().expect("shard poisoned"));
-        }
-        self.refresh_mem_gauges();
-    }
-
     /// The sample the telemetry ring records at a flush, stamped with the
     /// latest tick. It reads only the numbers a [`TelemetrySample`] stores,
-    /// after the same gauge fence as [`Engine::stats`].
+    /// and computes the `mem_*` gauges the way [`Engine::stats`] does.
     pub fn telemetry_sample(&self) -> TelemetrySample {
-        self.settle_gauges();
-        self.stats.telemetry_sample(self.ticks.saturating_sub(1))
+        self.stats
+            .telemetry_sample(self.ticks.saturating_sub(1), self.sessions_footprint())
     }
 
-    /// Recomputes the session/pending/served byte gauges from the live
-    /// session store (shard cache bytes refresh at shard-job end and on
-    /// import, where the caches actually change).
-    fn refresh_mem_gauges(&self) {
-        let mut session = 0u64;
-        let mut pending = 0u64;
-        let mut served = 0u64;
+    /// The live session store's bytes, split the way the `mem_*` gauges
+    /// split them (shard cache bytes come from the shard jobs' reports and
+    /// from imports, where the caches actually change).
+    fn sessions_footprint(&self) -> SessionFootprint {
+        let mut total = SessionFootprint::default();
         for state in self.sessions.values() {
             let footprint = crate::mem::session_footprint(state);
-            session += footprint.session_bytes;
-            pending += footprint.pending_bytes;
-            served += footprint.served_bytes;
+            total.session_bytes += footprint.session_bytes;
+            total.pending_bytes += footprint.pending_bytes;
+            total.served_bytes += footprint.served_bytes;
         }
-        self.stats.set_mem_gauges(session, pending, served);
+        total
     }
 
     /// Resets the engine counters to zero without touching sessions or the
@@ -419,9 +496,9 @@ impl Engine {
         if !self.telemetry.is_enabled() {
             return;
         }
-        // The sample fences on the shard locks first, so it always reads the
-        // post-batch cache sizes — which keeps the ring deterministic across
-        // backends.
+        // Every shard job of the flush has reported by now, so the sample
+        // reads the post-batch cache sizes — which keeps the ring
+        // deterministic across backends.
         let sample = self.telemetry_sample();
         self.telemetry.push(sample);
     }
@@ -569,10 +646,7 @@ impl Engine {
         self.next_session += 1;
         let state = SessionState::new(SessionId(id), instance, initial_present, seed);
         self.sessions.insert(id, state);
-        // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-        self.stats
-            .sessions_created
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.sessions_created += 1;
         self.run_batch(&[id], false);
         Ok(self.sessions[&id].view())
     }
@@ -597,11 +671,8 @@ impl Engine {
             // lint: allow(wall-clock, queue-wait telemetry only; solve results never read it)
             self.queue_since[shard] = Some(Instant::now());
         }
-        self.stats.shard_queue_add(shard, 1);
-        // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-        self.stats
-            .events_submitted
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.shards[shard].queue_depth += 1;
+        self.stats.events_submitted += 1;
         // The span covers validation + queueing; an auto-flush below is
         // traced as its own Coalesce/ShardDispatch spans, not folded in here.
         self.tracer.finish(
@@ -654,10 +725,7 @@ impl Engine {
         self.pending_total = self.pending_total.saturating_sub(state.pending.len());
         self.stats
             .shard_queue_sub(self.shard_of(session.0), state.pending.len());
-        // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-        self.stats
-            .sessions_closed
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.sessions_closed += 1;
         Ok(state.lifetime_events)
     }
 
@@ -676,10 +744,7 @@ impl Engine {
         self.pending_total = self.pending_total.saturating_sub(state.pending.len());
         self.stats
             .shard_queue_sub(self.shard_of(session.0), state.pending.len());
-        // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-        self.stats
-            .sessions_exported
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.sessions_exported += 1;
         let export = state.into_export();
         self.tracer.finish(
             t,
@@ -709,11 +774,8 @@ impl Engine {
             // lint: allow(wall-clock, queue-wait telemetry only; solve results never read it)
             self.queue_since[shard] = Some(Instant::now());
         }
-        self.stats.shard_queue_add(shard, state.pending.len());
-        // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-        self.stats
-            .sessions_imported
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.stats.shards[shard].queue_depth += state.pending.len() as u64;
+        self.stats.sessions_imported += 1;
         // Seed the receiving shard's factor cache with the carried warm
         // capital: beyond the session's own session-affine reuse, *other*
         // sessions sharing the fingerprint (same template, e.g.) now hit the
@@ -726,11 +788,9 @@ impl Engine {
             // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
             let mut shard_state = self.shards[shard].lock().expect("shard poisoned");
             shard_state.factors.insert(fingerprint, factors);
-            self.stats.set_shard_cache_gauges(
-                shard,
-                shard_state.factors.len(),
-                shard_state.factors.footprint_bytes(),
-            );
+            let counters = &mut self.stats.shards[shard];
+            counters.cache_entries = shard_state.factors.len() as u64;
+            counters.cache_bytes = shard_state.factors.footprint_bytes();
         }
         self.sessions.insert(id, state);
         self.tracer.finish(
@@ -783,10 +843,6 @@ impl Engine {
     /// server is indistinguishable from a newly spawned one, which is what
     /// lets the cluster kill and re-join remote processes it cannot fork.
     pub fn crash(&mut self) {
-        for (&id, state) in &self.sessions {
-            let shard = shard_index(id, self.shards.len());
-            self.stats.shard_queue_sub(shard, state.pending.len());
-        }
         self.sessions.clear();
         self.standbys.clear();
         self.next_session = 1;
@@ -797,15 +853,13 @@ impl Engine {
         for slot in &mut self.queue_since {
             *slot = None;
         }
-        for (shard, state) in self.shards.iter().enumerate() {
+        for state in &self.shards {
             // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
             let mut shard_state = state.lock().expect("shard poisoned");
             shard_state.factors = FactorCache::new(self.config.cache_capacity);
             shard_state.components = FactorCache::new(self.config.component_cache_capacity);
-            self.stats.set_shard_cache_gauges(shard, 0, 0);
         }
-        self.stats.reset();
-        self.stats.set_mem_gauges(0, 0, 0);
+        self.stats = StatsSnapshot::with_shards(self.shards.len());
     }
 
     /// Applies every session's pending events in one batched dispatch.
@@ -814,18 +868,13 @@ impl Engine {
         self.run_batch(&ids, false);
     }
 
-    fn count_request(&self) {
-        // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-        self.stats
-            .requests
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    fn count_request(&mut self) {
+        self.stats.requests += 1;
     }
 
     /// Serial dispatch phase + one pipeline job per busy shard. `forced_full`
     /// applies to every id in `ids` (used by `force_resolve`).
     fn run_batch(&mut self, ids: &[u64], forced_full: bool) {
-        use std::sync::atomic::Ordering;
-
         // ---- Phase A: coalesce, decide, plan (serial, deterministic) ----
         // Plans bucket by shard; everything cache- or LP-related happens
         // inside the shard jobs, against shard-owned state.
@@ -850,10 +899,7 @@ impl Engine {
                 .shard_queue_sub(shard_index(id, shard_count), state.pending.len());
             state.pending.clear();
             state.lifetime_events += batch.raw_events as u64;
-            // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-            self.stats
-                .events_coalesced
-                .fetch_add(batch.coalesced_away as u64, Ordering::Relaxed);
+            self.stats.events_coalesced += batch.coalesced_away as u64;
             if !batch.dirty && !needs_initial && !forced_full {
                 continue;
             }
@@ -870,8 +916,14 @@ impl Engine {
                 state.rebuild_base();
             }
             if state.present.is_empty() {
-                // Dormant: everyone left. Nothing to solve until a join.
+                // Dormant: everyone left. Nothing to solve until a join. A
+                // base rebuilt here gets no solve, so factors kept for the
+                // old base would no longer fit it.
                 state.served = None;
+                if batch.reshaped {
+                    state.last_factors = None;
+                    state.last_factor_fingerprint = None;
+                }
                 continue;
             }
 
@@ -928,8 +980,7 @@ impl Engine {
         if planned == 0 {
             return;
         }
-        // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
+        self.stats.batches += 1;
 
         // ---- Shard jobs: restrict, resolve factors, round — in parallel
         // across lanes, sequentially (in session order) within a shard ----
@@ -938,12 +989,19 @@ impl Engine {
         // and every other busy lane goes to its own pool thread (lane `l` to
         // thread `l` below the caller's lane, `l − 1` above it). A batch on
         // one lane therefore never crosses a thread.
-        let (result_tx, result_rx) = channel();
+        // Each job returns what it measured, and this thread records it.
+        // A report writes only its own shard's slots and a histogram, so
+        // reports are recorded as they arrive; outcomes apply in session
+        // order.
+        let (report_tx, report_rx) = channel();
         let lanes = self.pool.workers();
         let caller_lane = buckets.keys().next_back().map_or(0, |&shard| shard % lanes);
         let mut caller_jobs = Vec::new();
+        let mut pool_jobs = 0usize;
         for (shard, plans) in buckets {
-            self.stats.record_shard_dispatch(shard, plans.len() as u64);
+            let counters = &mut self.stats.shards[shard];
+            counters.jobs += 1;
+            counters.solves += plans.len() as u64;
             let job = ShardJob {
                 shard,
                 plans,
@@ -956,7 +1014,6 @@ impl Engine {
                 warm_enabled: self.config.policy.warm_start_lp,
                 sampling: self.config.sampling,
                 max_idle: self.config.max_idle_iterations,
-                stats: Arc::clone(&self.stats),
                 tracer: self.tracer.clone(),
             };
             let lane = shard % lanes;
@@ -964,49 +1021,54 @@ impl Engine {
                 caller_jobs.push(job);
             } else {
                 let thread = if lane < caller_lane { lane } else { lane - 1 };
-                let tx = result_tx.clone();
-                self.pool.execute_on(thread, Box::new(move || job.run(&tx)));
+                let tx = report_tx.clone();
+                pool_jobs += 1;
+                self.pool.execute_on(
+                    thread,
+                    Box::new(move || {
+                        let _ = tx.send(job.run());
+                    }),
+                );
             }
         }
-        for job in caller_jobs {
-            job.run(&result_tx);
-        }
-        drop(result_tx);
-        let mut outcomes: Vec<SolveOutcome> = (0..planned)
+        // Only the pool jobs' clones may keep the channel open: a pool job
+        // that panics drops its sender, and the wait below fails instead of
+        // hanging.
+        drop(report_tx);
+        let mut reports: Vec<ShardReport> = caller_jobs.into_iter().map(ShardJob::run).collect();
+        for _ in 0..pool_jobs {
             // lint: allow(no-panic, a dead worker already panicked; the batch cannot complete and crashing is correct)
-            .map(|_| result_rx.recv().expect("shard worker died"))
-            .collect();
+            reports.push(report_rx.recv().expect("shard worker died"));
+        }
+        let mut outcomes = Vec::new();
+        for report in reports {
+            let counters = &mut self.stats.shards[report.shard];
+            counters.busy_time += Duration::from_nanos(report.busy_nanos);
+            counters.cache_entries = report.cache_entries;
+            counters.cache_bytes = report.cache_bytes;
+            if let Some(waited) = report.queue_wait_nanos {
+                self.stats.queue_wait_latency.record_nanos(waited);
+            }
+            outcomes.extend(report.outcomes);
+        }
         outcomes.sort_by_key(|outcome| outcome.session);
 
         // ---- Apply results in session order (deterministic) ----
         for outcome in outcomes {
+            outcome.record(&mut self.stats);
             let Some(state) = self.sessions.get_mut(&outcome.session) else {
                 continue;
             };
             state.generation += 1;
-            match outcome.kind {
-                ResolveKind::Incremental => {
-                    // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-                    self.stats
-                        .solves_incremental
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                ResolveKind::FullLp => {
-                    // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-                    self.stats.solves_full.fetch_add(1, Ordering::Relaxed);
-                    state.events_since_full = 0;
-                }
-            }
-            self.stats.record_round(outcome.round_nanos);
-            if outcome.tight {
-                self.stats.record_gap(outcome.utility, outcome.lp_bound);
+            if outcome.kind == ResolveKind::FullLp {
+                state.events_since_full = 0;
             }
             // Ledger fold: serial, in session order — attribution counts are
             // deterministic; the nanos are wall-clock telemetry only.
             self.ledger.record(
                 outcome.base_fingerprint,
                 outcome.factor_fingerprint,
-                outcome.warm_served,
+                outcome.source.is_warm(),
                 outcome.solve_nanos,
             );
             state.last_factors = Some(Arc::clone(&outcome.factors));
@@ -1043,55 +1105,57 @@ struct ShardJob {
     warm_enabled: bool,
     sampling: SamplingScheme,
     max_idle: usize,
-    stats: Arc<EngineStats>,
     tracer: Tracer,
 }
 
 impl ShardJob {
-    /// Runs the job whole under its shard lock: records the queue wait,
-    /// runs the plans, publishes the shard's cache gauges and busy time.
-    fn run(mut self, tx: &Sender<SolveOutcome>) {
-        let (shard, lane) = (self.shard, self.shard as u32);
+    /// Runs the job whole under its shard lock and reports what it
+    /// measured: its outcomes, the queue wait, the shard's cache gauges and
+    /// its busy time.
+    fn run(mut self) -> ShardReport {
+        let lane = self.shard as u32;
         // lint: allow(wall-clock, worker busy-clock telemetry only; solve results never read it)
         let busy_started = Instant::now();
         // Queueing ends where service begins: the shard's oldest pending
         // event waited from enqueue to this pickup.
-        if let Some(enqueued_at) = self.enqueued_at {
+        let queue_wait_nanos = self.enqueued_at.map(|enqueued_at| {
             let waited = enqueued_at.elapsed().as_nanos() as u64;
-            self.stats.record_queue_wait(waited);
             let started = self.tracer.is_enabled().then_some(enqueued_at);
             self.tracer.finish(started, Phase::QueueWait, 0, 0, lane);
-        }
+            waited
+        });
         let t_dispatch = self.tracer.begin();
         let plans = std::mem::take(&mut self.plans);
         // lint: allow(no-panic, a poisoned shard lock means a worker panicked mid-batch; engine state is unrecoverable)
         let mut state = self.state.lock().expect("shard poisoned");
-        run_shard_plans(&mut state, plans, &self, tx);
-        self.stats.set_shard_cache_gauges(
-            shard,
-            state.factors.len(),
-            state.factors.footprint_bytes(),
-        );
+        let outcomes = run_shard_plans(&mut state, plans, &self);
+        let cache_entries = state.factors.len() as u64;
+        let cache_bytes = state.factors.footprint_bytes();
         drop(state);
         self.tracer
             .finish(t_dispatch, Phase::ShardDispatch, 0, 0, lane);
-        let busy = busy_started.elapsed().as_nanos() as u64;
-        self.stats.record_shard_busy(shard, busy);
+        ShardReport {
+            shard: self.shard,
+            outcomes,
+            queue_wait_nanos,
+            cache_entries,
+            cache_bytes,
+            busy_nanos: busy_started.elapsed().as_nanos() as u64,
+        }
     }
 }
 
 /// Executes one shard's plans: restrict the instance, resolve factors
-/// (session-affine reuse → shard cache → component-wise solve), re-round, and
-/// stream the outcomes back. Runs on the shard's lane with the shard state
-/// locked for the whole job; `job` supplies everything but the plans.
+/// (session-affine reuse → shard cache → component-wise solve) and re-round,
+/// returning the outcomes in plan order. Runs on the shard's lane with the
+/// shard state locked for the whole job; `job` supplies everything but the
+/// plans.
 fn run_shard_plans(
     shard: &mut ShardState,
     plans: Vec<SolvePlan>,
     job: &ShardJob,
-    tx: &Sender<SolveOutcome>,
-) {
-    use std::sync::atomic::Ordering;
-    let (stats, tracer, options) = (&job.stats, &job.tracer, &job.options);
+) -> Vec<SolveOutcome> {
+    let (tracer, options) = (&job.tracer, &job.options);
     let (warm_enabled, sampling, max_idle) = (job.warm_enabled, job.sampling, job.max_idle);
     let shard_lane = job.shard as u32;
 
@@ -1101,6 +1165,7 @@ fn run_shard_plans(
     // sharing apart from genuine cross-flush cache reuse.
     let mut computed_this_batch: std::collections::HashMap<u64, Arc<UtilityFactors>> =
         std::collections::HashMap::new();
+    let mut outcomes = Vec::new();
     for plan in plans {
         // lint: allow(wall-clock, per-solve latency telemetry only; solve results never read it)
         let solve_started = Instant::now();
@@ -1120,33 +1185,36 @@ fn run_shard_plans(
         // policy allows it (a forced re-solve, or a cold-baseline engine,
         // recomputes). Reuse layers, in order: the session's own last
         // solution, then the shard's fingerprint-keyed factor cache.
+        // An import carries factors under a fingerprint its sender chose, so
+        // reused factors must also have the shape this solve reads: the
+        // restricted catalogue, over the base population (sliced below) or
+        // the restricted one.
         let reuse_allowed = warm_enabled && plan.lp_start == LpStart::Warm;
+        let fits = |factors: &UtilityFactors| {
+            factors.num_items() == restricted.num_items()
+                && (factors.num_users() == plan.base.num_users()
+                    || factors.num_users() == restricted.num_users())
+        };
         let session_reused = plan
             .session_factors
             .as_ref()
-            .filter(|(fingerprint, _)| reuse_allowed && *fingerprint == factor_fingerprint);
-        let mut warm_served = true;
-        let factors: Arc<UtilityFactors> = if let Some((_, factors)) = session_reused {
-            // lint: allow(relaxed-store, independent monotonic counters; nothing else is published with them)
-            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            stats.session_reuse.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(factors)
+            .filter(|(fingerprint, factors)| {
+                reuse_allowed && *fingerprint == factor_fingerprint && fits(factors)
+            });
+        let (factors, source) = if let Some((_, factors)) = session_reused {
+            (Arc::clone(factors), FactorSource::Session)
         } else if let Some(factors) = reuse_allowed
             .then(|| computed_this_batch.get(&factor_fingerprint))
             .flatten()
         {
-            // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-            stats.batch_shared.fetch_add(1, Ordering::Relaxed);
-            Arc::clone(factors)
+            (Arc::clone(factors), FactorSource::Batch)
         } else if let Some(factors) = reuse_allowed
             .then(|| shard.factors.get(factor_fingerprint))
             .flatten()
+            .filter(|factors| fits(factors))
         {
-            // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            factors
+            (factors, FactorSource::Cache)
         } else {
-            warm_served = false;
             let factor_instance = match plan.kind {
                 ResolveKind::Incremental => &plan.base,
                 ResolveKind::FullLp => &restricted,
@@ -1179,17 +1247,18 @@ fn run_shard_plans(
                 Phase::LpCold
             };
             tracer.finish(t_lp, lp_phase, 0, plan.session, shard_lane);
-            let nanos = started.elapsed().as_nanos() as u64;
-            // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-            stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-            stats.record_lp_compute(nanos, outcome.reused as u64, outcome.solved() as u64);
+            let source = FactorSource::Computed {
+                lp_nanos: started.elapsed().as_nanos() as u64,
+                reused: outcome.reused as u64,
+                solved: outcome.solved() as u64,
+            };
             if warm_enabled {
                 shard
                     .factors
                     .insert(factor_fingerprint, Arc::clone(&outcome.factors));
                 computed_this_batch.insert(factor_fingerprint, Arc::clone(&outcome.factors));
             }
-            outcome.factors
+            (outcome.factors, source)
         };
 
         // lint: allow(wall-clock, rounding latency telemetry only; solve results never read it)
@@ -1212,8 +1281,7 @@ fn run_shard_plans(
         tracer.finish(t_round, Phase::Round, 0, plan.session, shard_lane);
         let utility = total_utility(&restricted, &configuration);
         let solve_nanos = solve_started.elapsed().as_nanos() as u64;
-        stats.record_solve_class(solve_nanos, warm_served);
-        let outcome = SolveOutcome {
+        outcomes.push(SolveOutcome {
             session: plan.session,
             kind: plan.kind,
             configuration,
@@ -1229,11 +1297,11 @@ fn run_shard_plans(
             factors,
             factor_fingerprint,
             base_fingerprint: plan.base_fingerprint,
-            warm_served,
+            source,
             solve_nanos,
-        };
-        let _ = tx.send(outcome);
+        });
     }
+    outcomes
 }
 
 /// Restricts `factors` (over the base population) to the rows of `present`,
@@ -1687,6 +1755,41 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_pool_job_fails_the_batch_instead_of_hanging() {
+        let mut engine = Engine::new(EngineConfig {
+            workers: 2,
+            shards: 2,
+            auto_flush_pending: 0,
+            ..EngineConfig::default()
+        });
+        let a = create(&mut engine);
+        let b = create(&mut engine);
+        for id in [a, b] {
+            engine
+                .submit_event(id, SessionEvent::RetuneLambda(0.4))
+                .unwrap();
+        }
+        // The caller runs the lane of the highest busy shard (1), so shard
+        // 0's job goes to the pool thread; poison that shard's lock so the
+        // job panics there.
+        let shard = Arc::clone(&engine.shards[0]);
+        let _ = std::thread::spawn(move || {
+            let _held = shard.lock().unwrap();
+            panic!("poisoning shard 0");
+        })
+        .join();
+        let (done_tx, done_rx) = channel();
+        std::thread::spawn(move || {
+            let flushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.flush()));
+            let _ = done_tx.send(flushed.is_err());
+        });
+        match done_rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(panicked) => assert!(panicked, "a batch with a dead shard job cannot complete"),
+            Err(_) => panic!("the batch hung waiting for a dead shard job"),
+        }
+    }
+
+    #[test]
     fn telemetry_samples_on_flush_requests_with_monotone_ticks() {
         let mut engine = engine();
         let id = create(&mut engine);
@@ -1765,15 +1868,149 @@ mod tests {
         assert!(queued.mem_pending_bytes > 0, "queued event is accounted");
         engine.reset_stats();
         let after = engine.stats();
-        assert_eq!(
-            after.mem_session_bytes, queued.mem_session_bytes,
-            "mem gauges describe live state, not the measurement window"
-        );
+        assert_eq!(after.requests, 0, "counters reset");
+        for (gauge, kept, live) in [
+            ("session", after.mem_session_bytes, queued.mem_session_bytes),
+            ("pending", after.mem_pending_bytes, queued.mem_pending_bytes),
+            ("served", after.mem_served_bytes, queued.mem_served_bytes),
+            ("cache", after.mem_cache_bytes(), queued.mem_cache_bytes()),
+        ] {
+            assert_eq!(
+                kept, live,
+                "mem_{gauge}_bytes describes live state, not the measurement window"
+            );
+        }
         engine.close_session(id).unwrap();
         let empty = engine.stats();
         assert_eq!(empty.mem_session_bytes, 0);
         assert_eq!(empty.mem_pending_bytes, 0);
         assert_eq!(empty.mem_served_bytes, 0);
+    }
+
+    /// Snapshots `id` and sends the export through the response codec, as a
+    /// migration over TCP does; the decode must accept it.
+    fn export_survives_the_wire(engine: &mut Engine, id: SessionId) {
+        let export = engine.snapshot_session(id).expect("live session");
+        let bytes =
+            crate::codec::encode_response(&Ok(EngineResponse::SessionExported(Box::new(export))));
+        match crate::codec::decode_response(&bytes) {
+            Ok(Ok(EngineResponse::SessionExported(_))) => {}
+            other => panic!("export does not survive the wire: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_dormant_catalogue_change_leaves_no_stale_factors() {
+        // Everyone leaves and the catalogue shrinks in one batch: the base is
+        // rebuilt without a solve, so factors for the old catalogue must not
+        // outlive it.
+        let mut engine = engine();
+        let id = create(&mut engine);
+        for user in 0..4 {
+            engine
+                .submit_event(id, SessionEvent::Membership(DynamicEvent::Leave(user)))
+                .unwrap();
+        }
+        engine
+            .submit_event(id, SessionEvent::SetCatalog(vec![0, 1, 2, 3]))
+            .unwrap();
+        engine.flush();
+        assert!(engine.query_configuration(id).unwrap().present.is_empty());
+        export_survives_the_wire(&mut engine, id);
+    }
+
+    #[test]
+    fn full_solves_on_a_partial_population_export_cleanly() {
+        // A forced full LP after a leave solves the restricted instance, so
+        // the session keeps present × catalogue factors — also once the
+        // rest of the group has left and the session is dormant.
+        let mut engine = engine();
+        let id = create(&mut engine);
+        engine
+            .submit_event(id, SessionEvent::Membership(DynamicEvent::Leave(1)))
+            .unwrap();
+        let view = engine.force_resolve(id).unwrap();
+        assert_eq!(view.present, vec![0, 2, 3]);
+        export_survives_the_wire(&mut engine, id);
+        for user in [0, 2, 3] {
+            engine
+                .submit_event(id, SessionEvent::Membership(DynamicEvent::Leave(user)))
+                .unwrap();
+        }
+        engine.flush();
+        assert!(engine.query_configuration(id).unwrap().present.is_empty());
+        export_survives_the_wire(&mut engine, id);
+    }
+
+    /// Sends `export` through the response codec, imports it into
+    /// `receiver` and flushes; the flush must serve a valid configuration.
+    fn import_and_flush(receiver: &mut Engine, export: SessionExport) -> ConfigurationView {
+        let bytes =
+            crate::codec::encode_response(&Ok(EngineResponse::SessionExported(Box::new(export))));
+        let Ok(Ok(EngineResponse::SessionExported(export))) = crate::codec::decode_response(&bytes)
+        else {
+            panic!("the export decodes");
+        };
+        let id = receiver.import_session(*export);
+        receiver.flush();
+        let view = receiver.query_configuration(id).unwrap();
+        assert!(view.configuration.is_valid(view.catalog.len()));
+        view
+    }
+
+    #[test]
+    fn imported_factors_of_the_wrong_shape_are_never_reused() {
+        // A peer chooses the fingerprint an export carries. Factors over
+        // three of four shoppers, labelled with the full base's fingerprint,
+        // then a join: reuse must check the shape, not trust the label —
+        // the session's own, and the copy the import put in the shard cache,
+        // which a new session of the same template looks up.
+        let mut receiver = Engine::new(EngineConfig {
+            workers: 1,
+            shards: 1,
+            auto_flush_pending: 0,
+            ..EngineConfig::default()
+        });
+        let mut engine = engine();
+        let id = create(&mut engine);
+        engine
+            .submit_event(id, SessionEvent::Membership(DynamicEvent::Leave(1)))
+            .unwrap();
+        engine.force_resolve(id).unwrap();
+        let mut export = engine.snapshot_session(id).unwrap();
+        export.last_factor_fingerprint = Some(instance_fingerprint(&export.full));
+        export
+            .pending
+            .push(SessionEvent::Membership(DynamicEvent::Join(1)));
+        assert_eq!(
+            import_and_flush(&mut receiver, export.clone()).present,
+            vec![0, 1, 2, 3]
+        );
+        let mut fresh = Engine::new(EngineConfig {
+            workers: 1,
+            shards: 1,
+            auto_flush_pending: 0,
+            ..EngineConfig::default()
+        });
+        fresh.import_session(export);
+        create(&mut fresh);
+
+        // Factors over four items, labelled with the fingerprint of the
+        // five-item base a pending catalogue change is about to build.
+        let id = create(&mut engine);
+        engine
+            .submit_event(id, SessionEvent::SetCatalog(vec![0, 1, 2, 3]))
+            .unwrap();
+        engine.flush();
+        let mut export = engine.snapshot_session(id).unwrap();
+        export.last_factor_fingerprint = Some(instance_fingerprint(&export.full));
+        export
+            .pending
+            .push(SessionEvent::SetCatalog(vec![0, 1, 2, 3, 4]));
+        assert_eq!(
+            import_and_flush(&mut receiver, export).catalog,
+            vec![0, 1, 2, 3, 4]
+        );
     }
 
     #[test]

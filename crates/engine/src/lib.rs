@@ -98,7 +98,7 @@ pub use mem::{events_bytes, factors_bytes, instance_bytes, session_footprint, Se
 pub use policy::{LpStart, PolicyInputs, ResolveDecision, ResolveKind, ResolvePolicy};
 pub use profile::{EngineProfile, ProfileEntry, SolveLedger};
 pub use session::{Served, SessionExport};
-pub use stats::{EngineStats, ShardSnapshot, StatsSnapshot, DEFAULT_SLO};
+pub use stats::{ShardSnapshot, StatsSnapshot, DEFAULT_SLO};
 pub use transport::EngineTransport;
 pub use warm::{solve_factors_warm, CacheMode, WarmOutcome};
 // Observability types callers meet through `EngineConfig::obs` and

@@ -174,7 +174,7 @@ impl SolveLedger {
     }
 
     /// Forgets everything — entries, drop count and the seen-fingerprint
-    /// recall sets (a measurement boundary, mirroring `EngineStats::reset`).
+    /// recall sets (a measurement boundary, mirroring `StatsSnapshot::reset`).
     pub fn clear(&mut self) {
         self.entries.clear();
         self.dropped = 0;

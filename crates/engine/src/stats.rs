@@ -1,18 +1,25 @@
 //! Engine-wide counters and latency accounting.
 //!
-//! All counters are atomics behind an [`Arc`](std::sync::Arc) so worker threads record
-//! directly. Configurations and cache accounting are deterministic under a
-//! fixed seed; wall-clock latencies naturally are not and are reported for
+//! The engine keeps its counters as one plain [`StatsSnapshot`], changed
+//! only through `&mut Engine` on the thread that calls into it. Shard jobs
+//! return what they measured, and the batch records it on that thread: a
+//! job's report writes its own shard's slots, and solve outcomes apply in
+//! session order. Every counter is a sum, a maximum or a histogram, so its
+//! value does not depend on the order records arrive in. Reading the stats
+//! is a copy.
+//!
+//! Configurations and cache accounting are deterministic under a fixed
+//! seed; wall-clock latencies naturally are not and are reported for
 //! observability only.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use svgic_obs::telemetry::rate_to_ppm;
 use svgic_obs::{
-    AtomicHistogram, Health, HealthPolicy, HistogramSnapshot, MetricsRegistry, SloObjective,
-    TelemetrySample,
+    Health, HealthPolicy, HistogramSnapshot, MetricsRegistry, SloObjective, TelemetrySample,
 };
+
+use crate::mem::SessionFootprint;
 
 /// Default per-request-class latency objectives: `(class, objective)` for
 /// each phase histogram the engine keeps. A class burns error budget when
@@ -26,31 +33,6 @@ pub const DEFAULT_SLO: [(&str, SloObjective); 4] = [
     ("round", SloObjective::new(20_000_000, 0.05)),
 ];
 
-/// Per-shard counters: how busy each shard is and how much work is queued
-/// against it. `queue_depth` and `cache_entries` are **gauges** (pending
-/// events / cached factor entries of the shard right now), the rest are
-/// monotonic. Load-aware cluster rebalancing reads these to find hot nodes;
-/// they are useful observability on their own.
-#[derive(Debug, Default)]
-pub struct ShardStats {
-    /// Pipeline jobs dispatched to this shard.
-    pub jobs: AtomicU64,
-    /// Session solves executed by this shard.
-    pub solves: AtomicU64,
-    /// Nanoseconds this shard's jobs spent busy (restrict + factors + round).
-    pub busy_nanos: AtomicU64,
-    /// Pending events currently queued against this shard's sessions
-    /// (incremented at submit, drained at dispatch/close/export).
-    pub queue_depth: AtomicU64,
-    /// Entries in this shard's factor cache right now (gauge, refreshed at
-    /// the end of each shard pipeline job).
-    pub cache_entries: AtomicU64,
-    /// Bytes held by this shard's factor and component caches right now
-    /// (gauge, refreshed alongside `cache_entries`; capacity accounting per
-    /// `svgic_obs::mem`).
-    pub cache_bytes: AtomicU64,
-}
-
 /// Max/mean ratio of per-shard busy nanoseconds (`0` with no shards or no
 /// work yet).
 fn busy_imbalance(busy: &[u64]) -> f64 {
@@ -61,379 +43,6 @@ fn busy_imbalance(busy: &[u64]) -> f64 {
     let max = *busy.iter().max().expect("non-empty") as f64;
     let mean = total as f64 / busy.len() as f64;
     max / mean
-}
-
-/// Monotonic counters shared between the engine and its workers.
-#[derive(Debug, Default)]
-pub struct EngineStats {
-    /// Requests handled (all five request kinds).
-    pub requests: AtomicU64,
-    /// Sessions opened.
-    pub sessions_created: AtomicU64,
-    /// Sessions closed.
-    pub sessions_closed: AtomicU64,
-    /// Sessions exported (live-migrated out, not counted as closed).
-    pub sessions_exported: AtomicU64,
-    /// Sessions imported (live-migrated in, not counted as created).
-    pub sessions_imported: AtomicU64,
-    /// Per-shard busy/queue counters (length = the engine's shard count;
-    /// empty for a bare `EngineStats::default()`).
-    pub per_shard: Vec<ShardStats>,
-    /// Events accepted into pending queues.
-    pub events_submitted: AtomicU64,
-    /// Events folded away by the batch coalescer.
-    pub events_coalesced: AtomicU64,
-    /// Dispatch batches run.
-    pub batches: AtomicU64,
-    /// Solves executed incrementally (re-round on cached/base factors).
-    pub solves_incremental: AtomicU64,
-    /// Solves executed as full LP re-solves.
-    pub solves_full: AtomicU64,
-    /// Factor-cache hits (LP skipped because a previous batch computed it).
-    pub cache_hits: AtomicU64,
-    /// Factor-cache misses (LP executed).
-    pub cache_misses: AtomicU64,
-    /// LP solves skipped because another session in the *same* batch needed
-    /// the same fingerprint (batch dedup, distinct from cache reuse).
-    pub batch_shared: AtomicU64,
-    /// Factor lookups satisfied by the session's own last solution (the
-    /// session-affine fast path; also counted in `cache_hits`).
-    pub session_reuse: AtomicU64,
-    /// Re-solves served warm: factors obtained from an exact reuse layer
-    /// (session-affine, fingerprint cache, or within-batch sharing) instead
-    /// of a fresh LP computation.
-    pub solves_warm: AtomicU64,
-    /// Re-solves served cold: factors computed from scratch.
-    pub solves_cold: AtomicU64,
-    /// Social-graph components reused verbatim from the warm cache.
-    pub warm_components_reused: AtomicU64,
-    /// Social-graph components solved from scratch.
-    pub warm_components_solved: AtomicU64,
-    /// Total nanoseconds spent in LP relaxation jobs.
-    pub lp_nanos: AtomicU64,
-    /// Total nanoseconds of warm re-solves (factor resolution + rounding).
-    pub warm_solve_nanos: AtomicU64,
-    /// Total nanoseconds of cold re-solves (LP computation + rounding).
-    pub cold_solve_nanos: AtomicU64,
-    /// Total nanoseconds spent in rounding jobs.
-    pub round_nanos: AtomicU64,
-    /// Slowest single job (one LP relaxation or one rounding pass) observed,
-    /// in nanoseconds. LP and rounding run as separate pool jobs (an LP can
-    /// serve many solves), so there is no meaningful combined per-solve total.
-    pub max_solve_nanos: AtomicU64,
-    /// Sum of per-solve `(bound - utility) / bound` gaps, in micro-units,
-    /// over solves with a tight bound.
-    pub gap_micros: AtomicU64,
-    /// Number of solves contributing to `gap_micros`.
-    pub gap_samples: AtomicU64,
-    /// Per-LP-computation latency distribution (one sample per cache miss —
-    /// the same events that feed `lp_nanos`/`cache_misses`).
-    pub lp_latency: AtomicHistogram,
-    /// Per-re-solve latency distribution, warm class.
-    pub warm_solve_latency: AtomicHistogram,
-    /// Per-re-solve latency distribution, cold class.
-    pub cold_solve_latency: AtomicHistogram,
-    /// Per-rounding-job latency distribution (one sample per solve).
-    pub round_latency: AtomicHistogram,
-    /// Queue-wait distribution: one sample per shard pipeline job with
-    /// pending events, measuring how long the shard's oldest enqueued event
-    /// waited between submit and the job starting.
-    pub queue_wait_latency: AtomicHistogram,
-    /// Bytes held by live session state — instances (full + diverged base)
-    /// and warm factors (gauge, refreshed by `Engine::stats`).
-    pub mem_session_bytes: AtomicU64,
-    /// Bytes held by pending (un-flushed) event queues (gauge).
-    pub mem_pending_bytes: AtomicU64,
-    /// Bytes held by served solutions (gauge).
-    pub mem_served_bytes: AtomicU64,
-}
-
-impl EngineStats {
-    /// Stats for an engine with `shards` session shards.
-    pub fn with_shards(shards: usize) -> Self {
-        EngineStats {
-            per_shard: (0..shards).map(|_| ShardStats::default()).collect(),
-            ..EngineStats::default()
-        }
-    }
-
-    /// Records one pipeline job dispatched to `shard` covering `solves`
-    /// session solves.
-    pub fn record_shard_dispatch(&self, shard: usize, solves: u64) {
-        if let Some(stats) = self.per_shard.get(shard) {
-            // lint: allow(relaxed-store, independent monotonic counters; a torn pair only skews a transient rate)
-            stats.jobs.fetch_add(1, Ordering::Relaxed);
-            stats.solves.fetch_add(solves, Ordering::Relaxed);
-        }
-    }
-
-    /// Adds busy nanoseconds to `shard`'s clock.
-    pub fn record_shard_busy(&self, shard: usize, nanos: u64) {
-        if let Some(stats) = self.per_shard.get(shard) {
-            // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-            stats.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
-        }
-    }
-
-    /// Refreshes `shard`'s factor-cache gauges (entry count and bytes) as one
-    /// published pair.
-    ///
-    /// The two gauges describe the same cache state and are read together by
-    /// [`EngineStats::snapshot`]; publishing them independently with relaxed
-    /// stores is exactly the multi-field gauge race PR 7 fixed in
-    /// `sample_telemetry`. The byte store is made visible *before* the entry
-    /// store (Release), and `snapshot` loads entries with Acquire first, so
-    /// any snapshot that observes an entry count also observes a byte figure
-    /// at least as recent as that count's pair.
-    pub fn set_shard_cache_gauges(&self, shard: usize, entries: usize, bytes: u64) {
-        if let Some(stats) = self.per_shard.get(shard) {
-            // lint: allow(relaxed-store, ordered by the Release store of cache_entries below; see the doc comment)
-            stats.cache_bytes.store(bytes, Ordering::Relaxed);
-            stats.cache_entries.store(entries as u64, Ordering::Release);
-        }
-    }
-
-    /// Refreshes the engine-level memory gauges (session / pending / served
-    /// bytes). Called by `Engine::stats` just before snapshotting, so wire
-    /// scrapes and local reads see the same accounting.
-    pub fn set_mem_gauges(&self, session_bytes: u64, pending_bytes: u64, served_bytes: u64) {
-        // Written and then read by the same snapshotting thread
-        // (`Engine::stats` refreshes, then snapshots), so the three gauges
-        // need no cross-thread publish ordering.
-        // lint: allow(relaxed-store, same-thread write-then-read; no cross-thread pairing)
-        let set = |gauge: &AtomicU64, v: u64| gauge.store(v, Ordering::Relaxed);
-        set(&self.mem_session_bytes, session_bytes);
-        set(&self.mem_pending_bytes, pending_bytes);
-        set(&self.mem_served_bytes, served_bytes);
-    }
-
-    /// Raises `shard`'s queue-depth gauge by `events`.
-    pub fn shard_queue_add(&self, shard: usize, events: usize) {
-        if let Some(stats) = self.per_shard.get(shard) {
-            // lint: allow(relaxed-store, single saturating gauge; no paired state)
-            stats
-                .queue_depth
-                .fetch_add(events as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Lowers `shard`'s queue-depth gauge by `events` (saturating — the
-    /// gauge never wraps even if bookkeeping and a reset race).
-    pub fn shard_queue_sub(&self, shard: usize, events: usize) {
-        if let Some(stats) = self.per_shard.get(shard) {
-            // lint: allow(relaxed-store, single saturating gauge; no paired state)
-            let _ = stats
-                .queue_depth
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
-                    Some(depth.saturating_sub(events as u64))
-                });
-        }
-    }
-
-    /// Records one job's duration (exactly one of `lp`/`rounding` is
-    /// non-zero per call), updating totals and the slowest-job high-water
-    /// mark.
-    pub fn record_solve_nanos(&self, lp: u64, rounding: u64) {
-        // lint: allow(relaxed-store, cumulative totals read for means; a torn read skews one transient mean only)
-        self.lp_nanos.fetch_add(lp, Ordering::Relaxed);
-        self.round_nanos.fetch_add(rounding, Ordering::Relaxed);
-        // lint: allow(relaxed-store, high-water mark; fetch_max keeps it monotonic regardless of order)
-        self.max_solve_nanos
-            .fetch_max(lp.max(rounding), Ordering::Relaxed);
-    }
-
-    /// Records one LP factor computation: its duration and how many
-    /// social-graph components it warm-reused vs. solved.
-    pub fn record_lp_compute(&self, nanos: u64, reused_components: u64, solved_components: u64) {
-        self.record_solve_nanos(nanos, 0);
-        self.lp_latency.record_nanos(nanos);
-        // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-        self.warm_components_reused
-            .fetch_add(reused_components, Ordering::Relaxed);
-        // lint: allow(relaxed-store, independent monotonic counter; nothing else is published with it)
-        self.warm_components_solved
-            .fetch_add(solved_components, Ordering::Relaxed);
-    }
-
-    /// Records one rounding job: aggregate time plus the per-job latency
-    /// distribution (every solve rounds exactly once).
-    pub fn record_round(&self, nanos: u64) {
-        self.record_solve_nanos(0, nanos);
-        self.round_latency.record_nanos(nanos);
-    }
-
-    /// Records one whole re-solve (factor resolution through rounding) as
-    /// warm (factors reused) or cold (factors computed).
-    pub fn record_solve_class(&self, nanos: u64, warm: bool) {
-        if warm {
-            // lint: allow(relaxed-store, cumulative count and nanos totals; a torn mean is transient and self-corrects)
-            self.solves_warm.fetch_add(1, Ordering::Relaxed);
-            self.warm_solve_nanos.fetch_add(nanos, Ordering::Relaxed);
-            self.warm_solve_latency.record_nanos(nanos);
-        } else {
-            // lint: allow(relaxed-store, cumulative count and nanos totals; a torn mean is transient and self-corrects)
-            self.solves_cold.fetch_add(1, Ordering::Relaxed);
-            self.cold_solve_nanos.fetch_add(nanos, Ordering::Relaxed);
-            self.cold_solve_latency.record_nanos(nanos);
-        }
-    }
-
-    /// Records how long a shard's oldest pending event waited between submit
-    /// and its shard pipeline job starting (one sample per dispatched shard
-    /// job that had pending events).
-    pub fn record_queue_wait(&self, nanos: u64) {
-        self.queue_wait_latency.record_nanos(nanos);
-    }
-
-    /// Records a utility-vs-bound gap sample (tight bounds only).
-    pub fn record_gap(&self, utility: f64, bound: f64) {
-        if bound > 0.0 && utility.is_finite() {
-            let gap = ((bound - utility) / bound).clamp(0.0, 1.0);
-            // lint: allow(relaxed-store, cumulative sum and sample-count totals; a torn mean is transient and self-corrects)
-            self.gap_micros
-                .fetch_add((gap * 1e6) as u64, Ordering::Relaxed);
-            self.gap_samples.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Resets every counter to zero, so a measured run can exclude warmup
-    /// traffic without rebuilding the engine and losing its caches. The
-    /// per-shard **queue-depth and cache-size gauges and the `mem_*` byte
-    /// gauges are left alone**: they track live pending events, live cache
-    /// contents and live session state, which a measurement boundary does
-    /// not consume.
-    pub fn reset(&self) {
-        // lint: allow(relaxed-store, reset is a driver-side measurement boundary; writers are quiesced between runs)
-        let clear = |counter: &AtomicU64| counter.store(0, Ordering::Relaxed);
-        for shard in &self.per_shard {
-            clear(&shard.jobs);
-            clear(&shard.solves);
-            clear(&shard.busy_nanos);
-        }
-        self.lp_latency.reset();
-        self.warm_solve_latency.reset();
-        self.cold_solve_latency.reset();
-        self.round_latency.reset();
-        self.queue_wait_latency.reset();
-        clear(&self.requests);
-        clear(&self.sessions_created);
-        clear(&self.sessions_closed);
-        clear(&self.sessions_exported);
-        clear(&self.sessions_imported);
-        clear(&self.events_submitted);
-        clear(&self.events_coalesced);
-        clear(&self.batches);
-        clear(&self.solves_incremental);
-        clear(&self.solves_full);
-        clear(&self.cache_hits);
-        clear(&self.cache_misses);
-        clear(&self.batch_shared);
-        clear(&self.session_reuse);
-        clear(&self.solves_warm);
-        clear(&self.solves_cold);
-        clear(&self.warm_components_reused);
-        clear(&self.warm_components_solved);
-        clear(&self.lp_nanos);
-        clear(&self.warm_solve_nanos);
-        clear(&self.cold_solve_nanos);
-        clear(&self.round_nanos);
-        clear(&self.max_solve_nanos);
-        clear(&self.gap_micros);
-        clear(&self.gap_samples);
-    }
-
-    /// The [`TelemetrySample`] at `tick`, read straight from the counters.
-    /// It loads only the numbers a sample stores, where [`Self::snapshot`]
-    /// copies every histogram too; each field equals what the snapshot's
-    /// accessors derive.
-    pub(crate) fn telemetry_sample(&self, tick: u64) -> TelemetrySample {
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        let per_shard = |gauge: fn(&ShardStats) -> &AtomicU64| -> u64 {
-            self.per_shard.iter().map(|shard| load(gauge(shard))).sum()
-        };
-        let busy: Vec<u64> = self.per_shard.iter().map(|s| load(&s.busy_nanos)).collect();
-        let (warm, cold) = (load(&self.solves_warm), load(&self.solves_cold));
-        let warm_rate = if warm + cold == 0 {
-            0.0
-        } else {
-            warm as f64 / (warm + cold) as f64
-        };
-        let session = load(&self.mem_session_bytes);
-        let pending = load(&self.mem_pending_bytes);
-        let served = load(&self.mem_served_bytes);
-        let cache = per_shard(|s| &s.cache_bytes);
-        TelemetrySample {
-            tick,
-            requests: load(&self.requests),
-            solves: load(&self.solves_incremental) + load(&self.solves_full),
-            queue_depth: per_shard(|s| &s.queue_depth),
-            warm_rate_ppm: rate_to_ppm(warm_rate),
-            imbalance_ppm: rate_to_ppm(busy_imbalance(&busy)),
-            mem_session_bytes: session,
-            mem_pending_bytes: pending,
-            mem_served_bytes: served,
-            mem_cache_bytes: cache,
-            mem_total_bytes: session + pending + served + cache,
-        }
-    }
-
-    /// A point-in-time copy of every counter plus derived rates.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        StatsSnapshot {
-            requests: load(&self.requests),
-            sessions_created: load(&self.sessions_created),
-            sessions_closed: load(&self.sessions_closed),
-            sessions_exported: load(&self.sessions_exported),
-            sessions_imported: load(&self.sessions_imported),
-            shards: self
-                .per_shard
-                .iter()
-                .map(|shard| ShardSnapshot {
-                    jobs: load(&shard.jobs),
-                    solves: load(&shard.solves),
-                    busy_time: Duration::from_nanos(load(&shard.busy_nanos)),
-                    queue_depth: load(&shard.queue_depth),
-                    // Acquire pairs with the Release store in
-                    // `set_shard_cache_gauges`: seeing an entry count makes
-                    // its paired byte store visible (struct fields evaluate
-                    // in source order, so entries is read first).
-                    cache_entries: shard.cache_entries.load(Ordering::Acquire),
-                    cache_bytes: load(&shard.cache_bytes),
-                })
-                .collect(),
-            events_submitted: load(&self.events_submitted),
-            events_coalesced: load(&self.events_coalesced),
-            batches: load(&self.batches),
-            solves_incremental: load(&self.solves_incremental),
-            solves_full: load(&self.solves_full),
-            cache_hits: load(&self.cache_hits),
-            cache_misses: load(&self.cache_misses),
-            batch_shared: load(&self.batch_shared),
-            session_reuse: load(&self.session_reuse),
-            solves_warm: load(&self.solves_warm),
-            solves_cold: load(&self.solves_cold),
-            warm_components_reused: load(&self.warm_components_reused),
-            warm_components_solved: load(&self.warm_components_solved),
-            lp_time: Duration::from_nanos(load(&self.lp_nanos)),
-            warm_solve_time: Duration::from_nanos(load(&self.warm_solve_nanos)),
-            cold_solve_time: Duration::from_nanos(load(&self.cold_solve_nanos)),
-            round_time: Duration::from_nanos(load(&self.round_nanos)),
-            max_solve_time: Duration::from_nanos(load(&self.max_solve_nanos)),
-            gap_micros: load(&self.gap_micros),
-            gap_samples: load(&self.gap_samples),
-            lp_latency: self.lp_latency.snapshot(),
-            warm_solve_latency: self.warm_solve_latency.snapshot(),
-            cold_solve_latency: self.cold_solve_latency.snapshot(),
-            round_latency: self.round_latency.snapshot(),
-            queue_wait_latency: self.queue_wait_latency.snapshot(),
-            profile: Vec::new(),
-            profile_dropped: 0,
-            mem_session_bytes: load(&self.mem_session_bytes),
-            mem_pending_bytes: load(&self.mem_pending_bytes),
-            mem_served_bytes: load(&self.mem_served_bytes),
-        }
-    }
 }
 
 /// Point-in-time view of one shard's counters.
@@ -453,8 +62,9 @@ pub struct ShardSnapshot {
     pub cache_bytes: u64,
 }
 
-/// A consistent view of the engine counters with derived metrics.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The engine counters with derived metrics: the engine records into one,
+/// and every reader gets a copy.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Requests handled.
     pub requests: u64,
@@ -520,15 +130,16 @@ pub struct StatsSnapshot {
     /// one sample per dispatched shard job with pending events).
     pub queue_wait_latency: HistogramSnapshot,
     /// Per-template solve ledger entries, ascending by template fingerprint
-    /// (populated by `Engine::stats`; empty for a bare `EngineStats`
-    /// snapshot). Counts are deterministic under a fixed seed; nanos are
-    /// wall-clock and never digest-covered.
+    /// (filled in by `Engine::stats`; empty in the engine's own record).
+    /// Counts are deterministic under a fixed seed; nanos are wall-clock and
+    /// never digest-covered.
     pub profile: Vec<crate::profile::ProfileEntry>,
     /// Template solves the ledger dropped because its fixed capacity was
     /// exhausted (attributed to no entry; `0` means full coverage).
     pub profile_dropped: u64,
     /// Bytes held by live session state (instances + warm factors) right
-    /// now (gauge; capacity accounting per `svgic_obs::mem`).
+    /// now (gauge; capacity accounting per `svgic_obs::mem`). `Engine::stats`
+    /// fills the three `mem_*` gauges in from the live session store.
     pub mem_session_bytes: u64,
     /// Bytes held by pending event queues right now (gauge).
     pub mem_pending_bytes: u64,
@@ -537,6 +148,126 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// Zeroed counters for an engine with `shards` session shards.
+    pub fn with_shards(shards: usize) -> Self {
+        StatsSnapshot {
+            shards: vec![ShardSnapshot::default(); shards],
+            ..StatsSnapshot::default()
+        }
+    }
+
+    /// Records one job's duration (exactly one of `lp`/`rounding` is
+    /// non-zero per call), updating totals and the slowest-job high-water
+    /// mark.
+    fn record_solve_nanos(&mut self, lp: u64, rounding: u64) {
+        self.lp_time += Duration::from_nanos(lp);
+        self.round_time += Duration::from_nanos(rounding);
+        self.max_solve_time = self
+            .max_solve_time
+            .max(Duration::from_nanos(lp.max(rounding)));
+    }
+
+    /// Records one LP factor computation: its duration and how many
+    /// social-graph components it warm-reused vs. solved.
+    pub(crate) fn record_lp_compute(
+        &mut self,
+        nanos: u64,
+        reused_components: u64,
+        solved_components: u64,
+    ) {
+        self.record_solve_nanos(nanos, 0);
+        self.lp_latency.record_nanos(nanos);
+        self.warm_components_reused += reused_components;
+        self.warm_components_solved += solved_components;
+    }
+
+    /// Records one rounding job: aggregate time plus the per-job latency
+    /// distribution (every solve rounds exactly once).
+    pub(crate) fn record_round(&mut self, nanos: u64) {
+        self.record_solve_nanos(0, nanos);
+        self.round_latency.record_nanos(nanos);
+    }
+
+    /// Records one whole re-solve (factor resolution through rounding) as
+    /// warm (factors reused) or cold (factors computed).
+    pub(crate) fn record_solve_class(&mut self, nanos: u64, warm: bool) {
+        if warm {
+            self.solves_warm += 1;
+            self.warm_solve_time += Duration::from_nanos(nanos);
+            self.warm_solve_latency.record_nanos(nanos);
+        } else {
+            self.solves_cold += 1;
+            self.cold_solve_time += Duration::from_nanos(nanos);
+            self.cold_solve_latency.record_nanos(nanos);
+        }
+    }
+
+    /// Records a utility-vs-bound gap sample (tight bounds only).
+    pub(crate) fn record_gap(&mut self, utility: f64, bound: f64) {
+        if bound > 0.0 && utility.is_finite() {
+            let gap = ((bound - utility) / bound).clamp(0.0, 1.0);
+            self.gap_micros += (gap * 1e6) as u64;
+            self.gap_samples += 1;
+        }
+    }
+
+    /// Lowers `shard`'s queue-depth gauge by `events`, saturating at zero
+    /// (out-of-range shards are ignored).
+    pub(crate) fn shard_queue_sub(&mut self, shard: usize, events: usize) {
+        if let Some(shard) = self.shards.get_mut(shard) {
+            shard.queue_depth = shard.queue_depth.saturating_sub(events as u64);
+        }
+    }
+
+    /// Resets every counter to zero, so a measured run can exclude warmup
+    /// traffic without rebuilding the engine and losing its caches. The
+    /// per-shard **queue-depth and cache-size gauges are kept**: they track
+    /// live pending events and live cache contents, which a measurement
+    /// boundary does not consume. (The session-side `mem_*` gauges need no
+    /// keeping: `Engine::stats` recomputes them from the live store.)
+    pub(crate) fn reset(&mut self) {
+        let shards = self
+            .shards
+            .iter()
+            .map(|shard| ShardSnapshot {
+                queue_depth: shard.queue_depth,
+                cache_entries: shard.cache_entries,
+                cache_bytes: shard.cache_bytes,
+                ..ShardSnapshot::default()
+            })
+            .collect();
+        *self = StatsSnapshot {
+            shards,
+            ..StatsSnapshot::default()
+        };
+    }
+
+    /// The [`TelemetrySample`] at `tick`, with `sessions` as the session-side
+    /// memory gauges. It reads only the numbers a sample stores, where a
+    /// copy of the snapshot would clone every histogram too; each field
+    /// equals what the accessors of [`Engine::stats`](crate::Engine::stats)'s
+    /// copy derive.
+    pub(crate) fn telemetry_sample(
+        &self,
+        tick: u64,
+        sessions: SessionFootprint,
+    ) -> TelemetrySample {
+        let cache = self.mem_cache_bytes();
+        TelemetrySample {
+            tick,
+            requests: self.requests,
+            solves: self.solves(),
+            queue_depth: self.total_queue_depth(),
+            warm_rate_ppm: rate_to_ppm(self.warm_start_rate()),
+            imbalance_ppm: rate_to_ppm(self.shard_imbalance()),
+            mem_session_bytes: sessions.session_bytes,
+            mem_pending_bytes: sessions.pending_bytes,
+            mem_served_bytes: sessions.served_bytes,
+            mem_cache_bytes: cache,
+            mem_total_bytes: sessions.total() + cache,
+        }
+    }
+
     /// Total solves of either kind.
     pub fn solves(&self) -> u64 {
         self.solves_incremental + self.solves_full
@@ -952,28 +683,30 @@ mod tests {
 
     #[test]
     fn hit_rate_and_gap() {
-        let stats = EngineStats::default();
-        stats.cache_hits.store(3, Ordering::Relaxed);
-        stats.cache_misses.store(1, Ordering::Relaxed);
+        let mut stats = StatsSnapshot {
+            cache_hits: 3,
+            cache_misses: 1,
+            ..StatsSnapshot::default()
+        };
         stats.record_gap(0.8, 1.0);
         stats.record_gap(1.0, 1.0);
-        let snap = stats.snapshot();
-        assert!((snap.cache_hit_rate() - 0.75).abs() < 1e-12);
-        assert!((snap.mean_gap() - 0.1).abs() < 1e-3);
+        assert!((stats.cache_hit_rate() - 0.75).abs() < 1e-12);
+        assert!((stats.mean_gap() - 0.1).abs() < 1e-3);
     }
 
     #[test]
     fn derived_rates_and_metrics_agree() {
-        let stats = EngineStats::default();
-        stats.events_submitted.store(10, Ordering::Relaxed);
-        stats.events_coalesced.store(4, Ordering::Relaxed);
-        stats.solves_incremental.store(3, Ordering::Relaxed);
-        stats.solves_full.store(1, Ordering::Relaxed);
-        stats.cache_misses.store(2, Ordering::Relaxed);
-        stats.record_lp_compute(1_000, 0, 1);
-        stats.record_lp_compute(3_000, 0, 1);
-        stats.record_round(8_000);
-        let snap = stats.snapshot();
+        let mut snap = StatsSnapshot {
+            events_submitted: 10,
+            events_coalesced: 4,
+            solves_incremental: 3,
+            solves_full: 1,
+            cache_misses: 2,
+            ..StatsSnapshot::default()
+        };
+        snap.record_lp_compute(1_000, 0, 1);
+        snap.record_lp_compute(3_000, 0, 1);
+        snap.record_round(8_000);
         assert!((snap.coalesce_rate() - 0.4).abs() < 1e-12);
         assert!((snap.incremental_fraction() - 0.75).abs() < 1e-12);
         // Mean phase times come from the per-phase histograms, which sample
@@ -1001,15 +734,14 @@ mod tests {
 
     #[test]
     fn phase_histograms_give_quantile_companions() {
-        let stats = EngineStats::default();
+        let mut snap = StatsSnapshot::default();
         for i in 1..=100u64 {
-            stats.record_lp_compute(i * 10_000, 0, 1);
-            stats.record_solve_class(i * 20_000, false);
-            stats.record_solve_class(i * 1_000, true);
-            stats.record_round(i * 500);
-            stats.record_queue_wait(i * 2_500);
+            snap.record_lp_compute(i * 10_000, 0, 1);
+            snap.record_solve_class(i * 20_000, false);
+            snap.record_solve_class(i * 1_000, true);
+            snap.record_round(i * 500);
+            snap.queue_wait_latency.record_nanos(i * 2_500);
         }
-        let snap = stats.snapshot();
         let metrics = snap.metrics();
         let get = |name: &str| {
             metrics
@@ -1043,38 +775,38 @@ mod tests {
 
     #[test]
     fn shard_imbalance_reads_busy_skew() {
-        let stats = EngineStats::with_shards(4);
+        let mut snap = StatsSnapshot::with_shards(4);
         // No work yet: imbalance is the documented 0, not NaN.
-        assert_eq!(stats.snapshot().shard_imbalance(), 0.0);
-        stats.record_shard_busy(0, 3_000);
-        stats.record_shard_busy(1, 1_000);
+        assert_eq!(snap.shard_imbalance(), 0.0);
+        snap.shards[0].busy_time = Duration::from_nanos(3_000);
+        snap.shards[1].busy_time = Duration::from_nanos(1_000);
         // Shards 2 and 3 idle: mean = 1000, max = 3000.
-        let snap = stats.snapshot();
         assert!((snap.shard_imbalance() - 3.0).abs() < 1e-9);
         let metrics = snap.metrics();
         let get = |name: &str| metrics.iter().find(|(n, _)| *n == name).unwrap().1;
         assert!((get("shard_imbalance") - 3.0).abs() < 1e-9);
         // A perfectly even spread reads 1.0.
-        let even = EngineStats::with_shards(2);
-        even.record_shard_busy(0, 5_000);
-        even.record_shard_busy(1, 5_000);
-        assert!((even.snapshot().shard_imbalance() - 1.0).abs() < 1e-9);
+        let mut even = StatsSnapshot::with_shards(2);
+        for shard in &mut even.shards {
+            shard.busy_time = Duration::from_nanos(5_000);
+        }
+        assert!((even.shard_imbalance() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn cache_entry_gauges_survive_reset_like_queue_depth() {
-        let stats = EngineStats::with_shards(2);
-        stats.set_shard_cache_gauges(0, 5, 0);
-        stats.set_shard_cache_gauges(1, 2, 0);
-        stats.set_shard_cache_gauges(9, 7, 0); // out of range: ignored
-        assert_eq!(stats.snapshot().total_cache_entries(), 7);
-        stats.reset();
-        let snap = stats.snapshot();
+        let mut snap = StatsSnapshot::with_shards(2);
+        snap.shards[0].cache_entries = 5;
+        snap.shards[1].cache_entries = 2;
+        snap.shards[0].jobs = 4;
+        assert_eq!(snap.total_cache_entries(), 7);
+        snap.reset();
         assert_eq!(
             snap.total_cache_entries(),
             7,
             "reset must not pretend live caches emptied"
         );
+        assert_eq!(snap.shards[0].jobs, 0);
         let metrics = snap.metrics();
         let get = |name: &str| metrics.iter().find(|(n, _)| *n == name).unwrap().1;
         assert_eq!(get("cache_entries"), 7.0);
@@ -1084,12 +816,11 @@ mod tests {
 
     #[test]
     fn warm_cold_accounting_and_rates() {
-        let stats = EngineStats::default();
-        stats.record_lp_compute(6_000, 2, 1); // 2 components reused, 1 solved
-        stats.record_lp_compute(10_000, 0, 3); // 3 components solved
-        stats.record_solve_class(4_000, true); // warm re-solve
-        stats.record_solve_class(20_000, false); // cold re-solve
-        let snap = stats.snapshot();
+        let mut snap = StatsSnapshot::default();
+        snap.record_lp_compute(6_000, 2, 1); // 2 components reused, 1 solved
+        snap.record_lp_compute(10_000, 0, 3); // 3 components solved
+        snap.record_solve_class(4_000, true); // warm re-solve
+        snap.record_solve_class(20_000, false); // cold re-solve
         assert_eq!(snap.solves_warm, 1);
         assert_eq!(snap.solves_cold, 1);
         assert_eq!(snap.warm_components_reused, 2);
@@ -1110,13 +841,14 @@ mod tests {
     fn rates_are_zero_not_nan_when_denominators_are_zero() {
         // After a reset every denominator is zero; every derived rate must be
         // a well-defined 0, never NaN (the loadgen JSON would render `null`).
-        let stats = EngineStats::default();
-        stats.events_submitted.store(10, Ordering::Relaxed);
-        stats.solves_incremental.store(3, Ordering::Relaxed);
-        stats.record_lp_compute(5_000, 1, 0);
-        stats.record_solve_class(5_000, true);
-        stats.reset();
-        let snap = stats.snapshot();
+        let mut snap = StatsSnapshot {
+            events_submitted: 10,
+            solves_incremental: 3,
+            ..StatsSnapshot::default()
+        };
+        snap.record_lp_compute(5_000, 1, 0);
+        snap.record_solve_class(5_000, true);
+        snap.reset();
         for (name, value) in snap.metrics() {
             assert!(value.is_finite(), "{name} is not finite after reset");
             assert_eq!(value, 0.0, "{name} should be zero after reset");
@@ -1134,15 +866,17 @@ mod tests {
 
     #[test]
     fn mem_gauges_survive_reset_and_feed_metrics_and_merge() {
-        let stats = EngineStats::with_shards(2);
-        stats.set_mem_gauges(1000, 50, 200);
-        stats.set_shard_cache_gauges(0, 1, 300);
-        stats.set_shard_cache_gauges(1, 1, 100);
-        stats.set_shard_cache_gauges(9, 1, 7); // out of range: ignored
-        stats.reset();
-        let snap = stats.snapshot();
-        assert_eq!(snap.mem_session_bytes, 1000, "live gauges survive reset");
-        assert_eq!(snap.mem_cache_bytes(), 400);
+        let mut snap = StatsSnapshot::with_shards(2);
+        snap.shards[0].cache_bytes = 300;
+        snap.shards[1].cache_bytes = 100;
+        snap.reset();
+        assert_eq!(snap.mem_cache_bytes(), 400, "live cache bytes survive");
+        // The session-side gauges, as `Engine::stats` fills them in from
+        // the live store (their survival of `Engine::reset_stats` is tested
+        // at engine level).
+        snap.mem_session_bytes = 1000;
+        snap.mem_pending_bytes = 50;
+        snap.mem_served_bytes = 200;
         assert_eq!(snap.mem_total_bytes(), 1000 + 50 + 200 + 400);
         let metrics = snap.metrics();
         let get = |name: &str| metrics.iter().find(|(n, _)| n == name).unwrap().1;
@@ -1160,19 +894,17 @@ mod tests {
 
     #[test]
     fn slo_burn_thresholds_drive_health() {
-        let stats = EngineStats::default();
-        let snap = stats.snapshot();
+        let mut snap = StatsSnapshot::default();
         assert_eq!(snap.max_slo_burn(), 0.0, "no traffic burns nothing");
         assert_eq!(snap.health(), Health::Ok);
         // 100 fast rounds and 20 slow ones: 1/6 over the 20ms round
         // objective against a 5% budget is a burn of ~3.3 → degraded.
         for _ in 0..100 {
-            stats.record_round(1_000_000);
+            snap.record_round(1_000_000);
         }
         for _ in 0..20 {
-            stats.record_round(100_000_000);
+            snap.record_round(100_000_000);
         }
-        let snap = stats.snapshot();
         let burns = snap.slo_burns();
         let round_burn = burns
             .iter()
@@ -1186,18 +918,20 @@ mod tests {
         assert_eq!(snap.health(), Health::Degraded);
         // Make every round slow: burn 20 → overloaded.
         for _ in 0..2000 {
-            stats.record_round(100_000_000);
+            snap.record_round(100_000_000);
         }
-        assert_eq!(stats.snapshot().health(), Health::Overloaded);
+        assert_eq!(snap.health(), Health::Overloaded);
         // A memory budget folds in through the explicit policy.
         let policy = HealthPolicy {
             mem_budget_bytes: 100,
             ..HealthPolicy::default()
         };
-        let idle = EngineStats::default();
-        idle.set_mem_gauges(150, 0, 0);
-        assert_eq!(idle.snapshot().health_with(&policy), Health::Overloaded);
-        assert_eq!(idle.snapshot().health(), Health::Ok, "default: no budget");
+        let idle = StatsSnapshot {
+            mem_session_bytes: 150,
+            ..StatsSnapshot::default()
+        };
+        assert_eq!(idle.health_with(&policy), Health::Overloaded);
+        assert_eq!(idle.health(), Health::Ok, "default: no budget");
     }
 
     #[test]
@@ -1205,18 +939,17 @@ mod tests {
         // Regression: immediately after `reset_stats` with no traffic the
         // skew/latency gauges must read a hard 0 — a NaN here renders as
         // `null` in reports and breaks the bench trajectory diff.
-        let stats = EngineStats::with_shards(4);
-        for shard in 0..4 {
-            stats.record_shard_busy(shard, 1_000 * (shard as u64 + 1));
+        let mut snap = StatsSnapshot::with_shards(4);
+        for (index, shard) in snap.shards.iter_mut().enumerate() {
+            shard.busy_time = Duration::from_nanos(1_000 * (index as u64 + 1));
         }
         for i in 1..=50 {
-            stats.record_lp_compute(i * 1_000, 0, 1);
-            stats.record_round(i * 500);
-            stats.record_solve_class(i * 2_000, i % 2 == 0);
-            stats.record_queue_wait(i * 3_000);
+            snap.record_lp_compute(i * 1_000, 0, 1);
+            snap.record_round(i * 500);
+            snap.record_solve_class(i * 2_000, i % 2 == 0);
+            snap.queue_wait_latency.record_nanos(i * 3_000);
         }
-        stats.reset();
-        let snap = stats.snapshot();
+        snap.reset();
         assert_eq!(snap.shard_imbalance(), 0.0);
         let metrics = snap.metrics();
         let get = |name: &str| metrics.iter().find(|(n, _)| n == name).unwrap().1;
@@ -1236,42 +969,38 @@ mod tests {
 
     #[test]
     fn reset_zeroes_everything() {
-        let stats = EngineStats::default();
-        stats.requests.store(5, Ordering::Relaxed);
-        stats.record_solve_nanos(1_000, 0);
-        stats.record_gap(0.5, 1.0);
-        stats.reset();
-        let snap = stats.snapshot();
-        assert_eq!(snap.requests, 0);
-        assert_eq!(snap.lp_time, Duration::ZERO);
-        assert_eq!(snap.gap_samples, 0);
+        let mut snap = StatsSnapshot {
+            requests: 5,
+            ..StatsSnapshot::default()
+        };
+        snap.record_solve_nanos(1_000, 0);
+        snap.record_gap(0.5, 1.0);
+        snap.reset();
+        assert_eq!(snap, StatsSnapshot::default());
     }
 
     #[test]
     fn display_renders() {
-        let stats = EngineStats::default();
-        stats.record_solve_nanos(1_000, 2_000);
-        let text = stats.snapshot().to_string();
+        let mut snap = StatsSnapshot::default();
+        snap.record_solve_nanos(1_000, 2_000);
+        let text = snap.to_string();
         assert!(text.contains("engine stats"));
         assert!(text.contains("hit rate"));
     }
 
     #[test]
     fn shard_counters_track_dispatch_and_queue() {
-        let stats = EngineStats::with_shards(3);
-        assert_eq!(stats.per_shard.len(), 3);
-        stats.record_shard_dispatch(0, 2);
-        stats.record_shard_dispatch(2, 1);
-        stats.record_shard_busy(2, 5_000);
-        stats.shard_queue_add(1, 4);
-        stats.shard_queue_sub(1, 1);
+        let mut snap = StatsSnapshot::with_shards(3);
+        assert_eq!(snap.shards.len(), 3);
+        snap.shards[0].jobs += 1;
+        snap.shards[0].solves += 2;
+        snap.shards[2].jobs += 1;
+        snap.shards[2].solves += 1;
+        snap.shards[2].busy_time += Duration::from_nanos(5_000);
+        snap.shards[1].queue_depth += 4;
+        snap.shard_queue_sub(1, 1);
         // Out-of-range shards are ignored, never panic.
-        stats.record_shard_dispatch(9, 1);
-        stats.shard_queue_add(9, 1);
-        let snap = stats.snapshot();
-        assert_eq!(snap.shards.len(), 3, "snapshot pins the shard count");
-        assert_eq!(snap.shards[0].jobs, 1);
-        assert_eq!(snap.shards[0].solves, 2);
+        snap.shard_queue_sub(9, 1);
         assert_eq!(snap.shards[2].busy_time, Duration::from_nanos(5_000));
         assert_eq!(snap.shards[1].queue_depth, 3);
         assert_eq!(snap.total_queue_depth(), 3);
@@ -1291,14 +1020,14 @@ mod tests {
 
     #[test]
     fn queue_gauge_saturates_and_survives_reset() {
-        let stats = EngineStats::with_shards(2);
-        stats.shard_queue_add(0, 2);
-        stats.shard_queue_sub(0, 5); // saturates at zero, never wraps
-        assert_eq!(stats.snapshot().shards[0].queue_depth, 0);
-        stats.shard_queue_add(0, 7);
-        stats.record_shard_dispatch(0, 3);
-        stats.reset();
-        let snap = stats.snapshot();
+        let mut snap = StatsSnapshot::with_shards(2);
+        snap.shards[0].queue_depth += 2;
+        snap.shard_queue_sub(0, 5); // saturates at zero, never wraps
+        assert_eq!(snap.shards[0].queue_depth, 0);
+        snap.shards[0].queue_depth += 7;
+        snap.shards[0].jobs += 1;
+        snap.shards[0].solves += 3;
+        snap.reset();
         assert_eq!(
             snap.shards[0].queue_depth, 7,
             "reset must not consume live pending events"
@@ -1309,18 +1038,23 @@ mod tests {
 
     #[test]
     fn merge_adds_counters_and_pads_shards() {
-        let a_stats = EngineStats::with_shards(2);
-        a_stats.requests.store(3, Ordering::Relaxed);
-        a_stats.solves_full.store(2, Ordering::Relaxed);
-        a_stats.record_shard_dispatch(1, 5);
-        a_stats.record_solve_nanos(1_000, 500);
-        let b_stats = EngineStats::with_shards(4);
-        b_stats.requests.store(4, Ordering::Relaxed);
-        b_stats.solves_incremental.store(6, Ordering::Relaxed);
-        b_stats.record_shard_dispatch(3, 1);
-        b_stats.record_solve_nanos(9_000, 0);
-        let mut merged = a_stats.snapshot();
-        merged.merge(&b_stats.snapshot());
+        let mut merged = StatsSnapshot {
+            requests: 3,
+            solves_full: 2,
+            ..StatsSnapshot::with_shards(2)
+        };
+        merged.shards[1].jobs = 1;
+        merged.shards[1].solves = 5;
+        merged.record_solve_nanos(1_000, 500);
+        let mut b = StatsSnapshot {
+            requests: 4,
+            solves_incremental: 6,
+            ..StatsSnapshot::with_shards(4)
+        };
+        b.shards[3].jobs = 1;
+        b.shards[3].solves = 1;
+        b.record_solve_nanos(9_000, 0);
+        merged.merge(&b);
         assert_eq!(merged.requests, 7);
         assert_eq!(merged.solves(), 8);
         assert_eq!(merged.shards.len(), 4, "shard vectors pad to the longer");

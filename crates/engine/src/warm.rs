@@ -16,13 +16,6 @@
 //! (and therefore served configurations) are byte-identical with and without
 //! the cache. This is the property the engine's warm/cold digest-equality
 //! tests and the `churn-heavy` bench pin down.
-//!
-//! (The LP crate additionally offers a *seeded* warm start —
-//! [`svgic_lp::solve_min_coupling_warm`] — which projects a prior fractional
-//! solution onto the new feasible region and re-optimises only the dirty
-//! neighbourhood. It is cheaper still for changed components, but as a
-//! single-start ascent it may land on a different local optimum, so the
-//! engine's digest-stable serving path does not use it.)
 
 use std::sync::Arc;
 

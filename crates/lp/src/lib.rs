@@ -35,42 +35,6 @@
 //!   serving engine's exact LPs take this path; the dense simplex solves the
 //!   master, the full LP_SVGIC ablation and branch & bound.
 //!
-//! ## Example: warm-started structured re-solves
-//!
-//! The serving engine's incremental path re-solves near-identical LPs as
-//! sessions churn; [`solve_min_coupling_warm`] maps a prior fractional
-//! solution onto the new problem and only re-ascends the dirty
-//! neighbourhood — an unchanged problem converges in **zero** passes:
-//!
-//! ```rust
-//! use svgic_lp::{
-//!     solve_min_coupling, solve_min_coupling_warm, CoordinateAscentOptions,
-//!     MinCouplingProblem, WarmStart,
-//! };
-//!
-//! // Two groups with unit budgets, four variables, one cross-group coupling.
-//! let mut problem = MinCouplingProblem::new(vec![1.0, 1.0]);
-//! let a = problem.add_variable(0, 2.0);
-//! let b = problem.add_variable(0, 1.0);
-//! let c = problem.add_variable(1, 1.5);
-//! let d = problem.add_variable(1, 0.5);
-//! assert_eq!((a, b, c, d), (0, 1, 2, 3));
-//! problem.add_coupling(a, c, 1.0);
-//!
-//! let options = CoordinateAscentOptions::default();
-//! let cold = solve_min_coupling(&problem, &options);
-//!
-//! // Identity mapping, nothing dirty: the warm start is already optimal.
-//! let var_map: Vec<Option<usize>> = (0..4).map(Some).collect();
-//! let warm = solve_min_coupling_warm(
-//!     &problem,
-//!     &options,
-//!     &WarmStart { prior: &cold.values, var_map: &var_map, dirty_groups: &[] },
-//! );
-//! assert_eq!(warm.passes, 0, "fixed point recognised without work");
-//! assert!((warm.objective - cold.objective).abs() < 1e-9);
-//! ```
-//!
 //! ## Example: an exact solve with its certificate
 //!
 //! ```rust
@@ -109,6 +73,6 @@ pub use decomposition::{solve_min_coupling_exact, ExactSolution, CERTIFICATE_TOL
 pub use model::{Constraint, ConstraintSense, LinearProgram, Solution, VarId, VarKind};
 pub use simplex::{solve_lp, SimplexError, SimplexOptions};
 pub use structured::{
-    project_onto_budgets, solve_min_coupling, solve_min_coupling_warm, CoordinateAscentOptions,
-    CouplingTerm, MinCouplingProblem, StructuredSolution, WarmStart,
+    solve_min_coupling, CoordinateAscentOptions, CouplingTerm, MinCouplingProblem,
+    StructuredSolution,
 };

@@ -27,13 +27,7 @@
 //! Passes are driven by an **active-group worklist**: a group is re-optimised
 //! only while its coupling neighbourhood keeps moving (beyond
 //! [`CoordinateAscentOptions::activation_epsilon`]), and the whole ascent
-//! stops on a convergence tolerance instead of a fixed pass count. On top of
-//! the from-scratch [`solve_min_coupling`], the [`solve_min_coupling_warm`]
-//! entry point accepts a prior fractional solution ([`WarmStart`]): surviving
-//! variables are mapped onto it, [`project_onto_budgets`] restores
-//! feasibility after membership/catalogue deltas, and only the changed
-//! neighbourhood starts active — re-solves after small deltas touch a
-//! handful of groups instead of the whole problem.
+//! stops on a convergence tolerance instead of a fixed pass count.
 
 /// One coupling term `weight · min(x_first, x_second)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -161,30 +155,8 @@ pub struct StructuredSolution {
     pub values: Vec<f64>,
     /// Objective value.
     pub objective: f64,
-    /// Number of coordinate passes executed (0 when a warm start was already
-    /// at a fixed point).
+    /// Number of coordinate passes executed.
     pub passes: usize,
-}
-
-/// A prior fractional solution to warm-start from.
-///
-/// The caller maps every variable of the *new* problem onto the prior
-/// solution (`var_map[i] = Some(j)` means new variable `i` was prior variable
-/// `j`; `None` marks a variable that did not exist before). Prior values of
-/// surviving variables are projected onto the per-group capped-simplex
-/// budgets to restore feasibility after membership/catalogue deltas, and the
-/// worklist ascent then touches only groups whose neighbourhood actually
-/// changed.
-#[derive(Clone, Copy, Debug)]
-pub struct WarmStart<'a> {
-    /// The prior problem's fractional values.
-    pub prior: &'a [f64],
-    /// For each new variable, its index in the prior solution (if any).
-    pub var_map: &'a [Option<usize>],
-    /// Groups whose subproblem inputs changed in ways the mapping cannot
-    /// express — e.g. groups that were coupled to since-removed variables, or
-    /// whose budgets/coefficients changed. They start active.
-    pub dirty_groups: &'a [usize],
 }
 
 /// Shared per-solve adjacency: group membership lists and per-variable
@@ -313,120 +285,6 @@ pub fn solve_min_coupling(
         objective,
         passes,
     }
-}
-
-/// Solves the min-coupling problem warm-started from a prior solution.
-///
-/// Surviving variables take their prior values, the point is projected onto
-/// the per-group capped-simplex budgets, and the worklist ascent starts with
-/// only the changed neighbourhood active: `warm.dirty_groups`, groups with
-/// new (unmapped) variables, and groups the projection had to move. When the
-/// prior solution is still feasible and nothing is dirty, the solve returns
-/// it verbatim in zero passes.
-///
-/// The warm solve is a *single-start* ascent from the prior point — much
-/// cheaper than the multi-start cold solve, and in practice equally good when
-/// the delta is small — but it is not guaranteed to land on the same local
-/// optimum as [`solve_min_coupling`]. Callers that need bit-identical
-/// warm/cold results must instead reuse solutions of *unchanged* subproblems
-/// verbatim (as `svgic-engine` does with its component cache) and cold-solve
-/// the changed ones.
-///
-/// # Panics
-/// Panics on the same infeasibilities as [`solve_min_coupling`], or when
-/// `warm.var_map` has the wrong length or maps outside `warm.prior`.
-pub fn solve_min_coupling_warm(
-    problem: &MinCouplingProblem,
-    options: &CoordinateAscentOptions,
-    warm: &WarmStart<'_>,
-) -> StructuredSolution {
-    let n = problem.num_variables();
-    assert_eq!(warm.var_map.len(), n, "var_map must cover every variable");
-    let workspace = build_workspace(problem);
-    let num_groups = problem.budgets.len();
-
-    let mut x = vec![0.0; n];
-    let mut active = vec![false; num_groups];
-    for (i, mapped) in warm.var_map.iter().enumerate() {
-        match mapped {
-            Some(old) => {
-                assert!(*old < warm.prior.len(), "var_map outside prior solution");
-                x[i] = warm.prior[*old].clamp(0.0, 1.0);
-            }
-            None => active[problem.group_of[i]] = true,
-        }
-    }
-    for &g in warm.dirty_groups {
-        assert!(g < num_groups, "dirty group {g} out of range");
-        active[g] = true;
-    }
-    // Restore feasibility; any group the projection had to move is active.
-    for (g, members) in workspace.members.iter().enumerate() {
-        let moved = project_group(&mut x, members, problem.budgets[g]);
-        if moved > options.activation_epsilon {
-            active[g] = true;
-        }
-    }
-
-    let (objective, passes) = ascend(problem, &workspace, &mut x, options, &mut active);
-    StructuredSolution {
-        values: x,
-        objective,
-        passes,
-    }
-}
-
-/// Projects `values` onto the feasible region (per-group capped simplices):
-/// every coordinate clamped to `[0, 1]` and every group's coordinates summing
-/// to its budget, moving the point as little as possible (per-group Euclidean
-/// projection). Already-feasible points are returned unchanged.
-///
-/// # Panics
-/// Panics if `values` has the wrong length or the problem itself is
-/// infeasible (a group budget exceeding its variable count).
-pub fn project_onto_budgets(problem: &MinCouplingProblem, values: &mut [f64]) {
-    assert_eq!(values.len(), problem.num_variables());
-    let workspace = build_workspace(problem);
-    for (g, members) in workspace.members.iter().enumerate() {
-        project_group(values, members, problem.budgets[g]);
-    }
-}
-
-/// Euclidean projection of one group onto `{0 ≤ x ≤ 1, Σ x = budget}`: the
-/// projection is `x_i ↦ clamp(x_i + t)` for the shift `t` making the sum hit
-/// the budget (found by bisection — `Σ clamp(x_i + t)` is monotone in `t`).
-/// Returns the largest per-coordinate move.
-fn project_group(x: &mut [f64], members: &[usize], budget: f64) -> f64 {
-    if members.is_empty() {
-        return 0.0;
-    }
-    let mut moved = 0.0f64;
-    for &i in members {
-        let clamped = x[i].clamp(0.0, 1.0);
-        moved = moved.max((clamped - x[i]).abs());
-        x[i] = clamped;
-    }
-    let sum: f64 = members.iter().map(|&i| x[i]).sum();
-    if (sum - budget).abs() <= 1e-12 * (1.0 + budget) {
-        return moved;
-    }
-    let (mut lo, mut hi) = (-1.0f64, 1.0f64);
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        let shifted: f64 = members.iter().map(|&i| (x[i] + mid).clamp(0.0, 1.0)).sum();
-        if shifted < budget {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let t = 0.5 * (lo + hi);
-    for &i in members {
-        let shifted = (x[i] + t).clamp(0.0, 1.0);
-        moved = moved.max((shifted - x[i]).abs());
-        x[i] = shifted;
-    }
-    moved
 }
 
 #[derive(Clone, Copy)]
@@ -768,197 +626,6 @@ mod tests {
         p.add_variable(0, 0.2);
         p.add_variable(0, 0.2);
         let _ = solve_min_coupling(&p, &CoordinateAscentOptions::default());
-    }
-
-    /// Builds a random multi-user instance for the warm-start tests.
-    fn random_problem(seed: u64, users: usize, items: usize, k: usize) -> MinCouplingProblem {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut p = MinCouplingProblem::new(vec![k as f64; users]);
-        let mut var = vec![vec![0usize; items]; users];
-        for (u, row) in var.iter_mut().enumerate() {
-            for slot in row.iter_mut() {
-                *slot = p.add_variable(u, rng.gen::<f64>());
-            }
-        }
-        for u in 0..users {
-            for v in (u + 1)..users {
-                if rng.gen::<f64>() < 0.5 {
-                    for (&xu, &xv) in var[u].iter().zip(var[v].iter()) {
-                        p.add_coupling(xu, xv, rng.gen::<f64>());
-                    }
-                }
-            }
-        }
-        p
-    }
-
-    #[test]
-    fn warm_start_of_unchanged_problem_is_a_zero_pass_reuse() {
-        let p = random_problem(3, 5, 4, 2);
-        let options = CoordinateAscentOptions::default();
-        let cold = solve_min_coupling(&p, &options);
-        let var_map: Vec<Option<usize>> = (0..p.num_variables()).map(Some).collect();
-        let warm = solve_min_coupling_warm(
-            &p,
-            &options,
-            &WarmStart {
-                prior: &cold.values,
-                var_map: &var_map,
-                dirty_groups: &[],
-            },
-        );
-        // Nothing changed: the prior is feasible, nothing is dirty, so the
-        // worklist never fills and the prior comes back verbatim.
-        assert_eq!(warm.passes, 0);
-        assert_eq!(warm.values, cold.values);
-        assert!((warm.objective - cold.objective).abs() < 1e-12);
-    }
-
-    #[test]
-    fn warm_start_after_user_removal_is_feasible_and_good() {
-        let options = CoordinateAscentOptions::default();
-        for seed in 0..8u64 {
-            let users = 4 + (seed as usize) % 3;
-            let items = 4;
-            let k = 2;
-            let full = random_problem(seed, users, items, k);
-            let cold_full = solve_min_coupling(&full, &options);
-
-            // Remove the last user: rebuild the problem without their
-            // variables and remap the survivors.
-            let removed = users - 1;
-            let mut reduced = MinCouplingProblem::new(vec![k as f64; users - 1]);
-            let mut var_map = Vec::new();
-            let mut old_to_new = vec![None; full.num_variables()];
-            for (i, &g) in full.group_of.iter().enumerate() {
-                if g == removed {
-                    continue;
-                }
-                let new = reduced.add_variable(g, full.linear[i]);
-                var_map.push(Some(i));
-                old_to_new[i] = Some(new);
-            }
-            let mut dirty = std::collections::BTreeSet::new();
-            for t in &full.couplings {
-                match (old_to_new[t.first], old_to_new[t.second]) {
-                    (Some(a), Some(b)) => reduced.add_coupling(a, b, t.weight),
-                    // A coupling lost its partner: the surviving side's group
-                    // must re-optimise.
-                    (Some(a), None) => {
-                        dirty.insert(reduced.group_of[a]);
-                    }
-                    (None, Some(b)) => {
-                        dirty.insert(reduced.group_of[b]);
-                    }
-                    (None, None) => {}
-                }
-            }
-            let dirty: Vec<usize> = dirty.into_iter().collect();
-
-            let warm = solve_min_coupling_warm(
-                &reduced,
-                &options,
-                &WarmStart {
-                    prior: &cold_full.values,
-                    var_map: &var_map,
-                    dirty_groups: &dirty,
-                },
-            );
-            let cold = solve_min_coupling(&reduced, &options);
-            assert!(
-                reduced.is_feasible(&warm.values, 1e-6),
-                "seed {seed}: warm solution infeasible"
-            );
-            // The warm path is a single-start ascent, so it can settle in a
-            // slightly different local optimum than the multi-start cold
-            // solve; hold it to the same β-approximation band the cold
-            // solver itself is held to against the exact simplex.
-            assert!(
-                warm.objective >= 0.85 * cold.objective - 1e-9,
-                "seed {seed}: warm {} vs cold {}",
-                warm.objective,
-                cold.objective
-            );
-        }
-    }
-
-    #[test]
-    fn projection_restores_budgets_and_leaves_feasible_points_alone() {
-        let mut p = MinCouplingProblem::new(vec![2.0, 1.0]);
-        for _ in 0..3 {
-            p.add_variable(0, 0.5);
-        }
-        for _ in 0..2 {
-            p.add_variable(1, 0.5);
-        }
-        // Infeasible: group 0 sums to 2.9 (and has an out-of-box value),
-        // group 1 sums to 0.2.
-        let mut values = vec![1.4, 0.9, 0.6, 0.1, 0.1];
-        project_onto_budgets(&p, &mut values);
-        assert!(p.is_feasible(&values, 1e-9), "projected point {values:?}");
-        // Already feasible: untouched.
-        let feasible = vec![1.0, 0.5, 0.5, 0.6, 0.4];
-        let mut copy = feasible.clone();
-        project_onto_budgets(&p, &mut copy);
-        for (a, b) in copy.iter().zip(&feasible) {
-            assert!((a - b).abs() < 1e-9);
-        }
-        // Degenerate budgets project to the corners.
-        let mut q = MinCouplingProblem::new(vec![0.0, 2.0]);
-        q.add_variable(0, 0.1);
-        q.add_variable(1, 0.1);
-        q.add_variable(1, 0.1);
-        let mut values = vec![0.7, 0.2, 0.3];
-        project_onto_budgets(&q, &mut values);
-        assert!(values[0].abs() < 1e-9);
-        assert!((values[1] - 1.0).abs() < 1e-9 && (values[2] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn worklist_skips_converged_groups() {
-        // Two independent components; warm-start with only one marked dirty.
-        // The ascent must converge without ever touching the clean component.
-        let mut p = MinCouplingProblem::new(vec![1.0, 1.0, 1.0, 1.0]);
-        let a0 = p.add_variable(0, 0.9);
-        let _a1 = p.add_variable(0, 0.1);
-        let b0 = p.add_variable(1, 0.8);
-        let _b1 = p.add_variable(1, 0.2);
-        p.add_coupling(a0, b0, 1.0);
-        let c0 = p.add_variable(2, 0.3);
-        let _c1 = p.add_variable(2, 0.7);
-        let d0 = p.add_variable(3, 0.4);
-        let _d1 = p.add_variable(3, 0.6);
-        p.add_coupling(c0, d0, 2.0);
-        let options = CoordinateAscentOptions::default();
-        let cold = solve_min_coupling(&p, &options);
-        // Perturb the clean component's values in a budget-preserving way that
-        // is *not* a best response (group 2 facing d0 = 0 strictly prefers
-        // c1): if the worklist ever visited group 2 it would move. Since its
-        // groups are not dirty and its neighbours never change, the ascent
-        // must leave it exactly as given.
-        let mut prior = cold.values.clone();
-        prior[4] = 1.0; // c0
-        prior[5] = 0.0; // c1
-        prior[6] = 0.0; // d0
-        prior[7] = 1.0; // d1
-        let var_map: Vec<Option<usize>> = (0..p.num_variables()).map(Some).collect();
-        let warm = solve_min_coupling_warm(
-            &p,
-            &options,
-            &WarmStart {
-                prior: &prior,
-                var_map: &var_map,
-                dirty_groups: &[0],
-            },
-        );
-        assert_eq!(
-            &warm.values[4..8],
-            &prior[4..8],
-            "clean component must not be revisited"
-        );
-        assert!(p.is_feasible(&warm.values, 1e-9));
     }
 
     #[test]

@@ -25,7 +25,11 @@
 //! The engine lock is never held across socket I/O, so a client that stops
 //! reading stalls only its own thread, and only for [`WRITE_TIMEOUT`]: a
 //! response write that makes no progress for that long closes the
-//! connection and frees its thread. A lock poisoned by a panicking handler
+//! connection and frees its thread. Likewise a client that stops sending
+//! mid-frame holds its thread for at most [`READ_TIMEOUT`]: once a frame's
+//! first byte has arrived, a read that makes no progress for that long
+//! closes the connection. Between frames the connection may stay idle for
+//! as long as the client likes. A lock poisoned by a panicking handler
 //! closes every connection that next reaches for it.
 //!
 //! Failure containment: a frame that fails to *decode* is answered with an
@@ -35,7 +39,7 @@
 //! ever seeing a partial request — a malformed client cannot mutate any
 //! engine state.
 
-use std::io::{self, BufReader};
+use std::io::{self, BufRead, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,11 +49,16 @@ use std::time::Duration;
 use svgic_engine::codec::{decode_request, encode_response};
 use svgic_engine::{Engine, EngineError, EngineResponse, Phase, SpanRecord, Tracer};
 
-use crate::frame::{read_frame, write_frame, Frame, FrameKind, MAX_PAYLOAD};
+use crate::frame::{read_frame, write_frame, Frame, FrameError, FrameKind, MAX_PAYLOAD};
 
 /// How long a response write may make no progress before the server closes
 /// the connection: a client that stops reading holds its thread no longer.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long a read inside a started frame may make no progress before the
+/// server closes the connection: a client that stops mid-frame holds its
+/// thread no longer. A connection idle between frames stays open.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A running server: an [`Engine`] fronted by a TCP listener.
 ///
@@ -113,11 +122,13 @@ impl NetServer {
 }
 
 /// One connection: read a frame, serve it under the engine lock, write the
-/// response. Runs until the client hangs up, the stream desyncs, a write
-/// fails or times out, or the server stops.
+/// response. Runs until the client hangs up, the stream desyncs, a read
+/// inside a frame or a write times out, a write fails, or the server stops.
 fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
-    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+    if stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+        || stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+    {
         return;
     }
     let Ok(read_half) = stream.try_clone() else {
@@ -126,9 +137,10 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     // Clean hangup or unrecoverable framing (bad magic, oversized length,
-    // mid-frame death) falls out of the `while let`: the connection closes
-    // and the engine is never touched by the broken bytes.
-    while let Ok(frame) = read_frame(&mut reader) {
+    // mid-frame death or stall) falls out of the `while let`: the
+    // connection closes and the engine is never touched by the broken
+    // bytes.
+    while let Ok(frame) = next_frame(&mut reader) {
         let result = match frame.kind {
             FrameKind::Request => match decode_request(&frame.payload) {
                 Ok(request) => {
@@ -190,6 +202,24 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
         };
         if write_frame(&mut writer, &response).is_err() {
             break;
+        }
+    }
+}
+
+/// Waits as long as it takes for the next frame's first byte, then reads the
+/// frame, in which every read times out after [`READ_TIMEOUT`]. The wait
+/// reads into the buffer `read_frame` reads from, so it costs no syscall of
+/// its own.
+fn next_frame(reader: &mut BufReader<TcpStream>) -> Result<Frame, FrameError> {
+    loop {
+        match reader.fill_buf() {
+            Ok(_) => return read_frame(reader),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(e.into()),
         }
     }
 }

@@ -6,10 +6,12 @@
 //! the engine — and a malformed connection must never take the server down
 //! for well-behaved clients. Neither may a client that stops reading, which
 //! the server hangs up on once a response write has stalled for its write
-//! timeout, and requests from concurrent connections must each reach the
-//! engine whole.
+//! timeout, nor one that stops sending mid-frame, which it hangs up on once
+//! a read inside the frame has stalled for its read timeout; a connection
+//! idle between frames stays open. Requests from concurrent connections
+//! must each reach the engine whole.
 
-use std::io::{ErrorKind, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
@@ -19,7 +21,7 @@ use svgic_core::example::running_example;
 use svgic_core::Configuration;
 use svgic_engine::prelude::*;
 use svgic_net::frame::{read_frame, write_frame, Frame, FrameKind};
-use svgic_net::server::WRITE_TIMEOUT;
+use svgic_net::server::{READ_TIMEOUT, WRITE_TIMEOUT};
 use svgic_net::{NetClient, NetServer, RetryPolicy};
 
 fn test_engine() -> Engine {
@@ -484,6 +486,55 @@ fn the_server_hangs_up_on_a_client_that_never_reads() {
     );
     let mut client = NetClient::connect(addr).expect("connects");
     assert_eq!(client.describe().expect("still serving").sessions, 0);
+    client.shutdown_server().expect("shuts down");
+    server.join();
+}
+
+/// A client that stops sending mid-frame cannot hold its connection thread
+/// forever: once a read inside the frame has made no progress for
+/// [`READ_TIMEOUT`], the server closes the connection.
+#[test]
+fn the_server_hangs_up_on_a_client_that_stops_mid_frame() {
+    let server = NetServer::bind("127.0.0.1:0", test_engine()).expect("binds");
+    let addr = server.local_addr();
+    let mut stalled = TcpStream::connect(addr).expect("connects");
+    // Five of the eighteen header bytes, then nothing.
+    stalled.write_all(b"SVGN\x01").expect("writes");
+    stalled
+        .set_read_timeout(Some(READ_TIMEOUT + Duration::from_secs(5)))
+        .expect("sets timeout");
+    let started = Instant::now();
+    let read = stalled.read(&mut [0u8; 1]);
+    assert!(
+        matches!(&read, Ok(0))
+            || read
+                .as_ref()
+                .is_err_and(|e| e.kind() == ErrorKind::ConnectionReset),
+        "the server never hung up on a client that stopped mid-frame \
+         (read {read:?} after {:?})",
+        started.elapsed()
+    );
+    let mut client = NetClient::connect(addr).expect("connects");
+    assert_eq!(client.describe().expect("still serving").sessions, 0);
+    client.shutdown_server().expect("shuts down");
+    server.join();
+}
+
+/// Idle connections between frames are legitimate: a client that says
+/// nothing for longer than [`READ_TIMEOUT`] is still answered.
+#[test]
+fn an_idle_connection_outlives_the_read_timeout() {
+    let server = NetServer::bind("127.0.0.1:0", test_engine()).expect("binds");
+    let mut client = NetClient::connect(server.local_addr()).expect("connects");
+    assert_eq!(client.describe().expect("serves").sessions, 0);
+    std::thread::sleep(READ_TIMEOUT + Duration::from_secs(1));
+    assert_eq!(
+        client
+            .describe()
+            .expect("an idle connection stays open")
+            .sessions,
+        0
+    );
     client.shutdown_server().expect("shuts down");
     server.join();
 }

@@ -9,20 +9,18 @@
 //! keeping the whole histogram a fixed 976-slot array that records in O(1)
 //! and merges by element-wise addition.
 //!
-//! Three shapes share the bucket layout:
+//! Two shapes share the bucket layout:
 //!
-//! * [`LatencyHistogram`] — single-threaded, records [`Duration`]s; the load
-//!   drivers' per-request-class histograms (this type lived in
+//! * [`LatencyHistogram`] — a dense slot array that records [`Duration`]s;
+//!   the load drivers' per-request-class histograms (this type lived in
 //!   `svgic-workload` before the obs crate existed; it moved here so the
-//!   engine can use the same buckets, and `svgic_workload::histogram`
-//!   re-exports it unchanged).
-//! * [`AtomicHistogram`] — the same buckets over `AtomicU64` slots, for
-//!   concurrent recording from shard worker threads inside engine stats.
-//! * [`HistogramSnapshot`] — a compact, mergeable, `Eq`-comparable frozen
-//!   copy (sparse non-zero slots only) that rides inside `StatsSnapshot`
-//!   and across the `svgic-net` wire.
+//!   engine can use the same buckets, and `svgic_workload` re-exports it
+//!   unchanged).
+//! * [`HistogramSnapshot`] — a compact, mergeable, `Eq`-comparable sparse
+//!   copy (non-zero slots only). The engine records its per-phase
+//!   latencies straight into one ([`HistogramSnapshot::record_nanos`]), and
+//!   it rides inside `StatsSnapshot` and across the `svgic-net` wire.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 const SUB_BUCKET_BITS: u32 = 4;
@@ -163,92 +161,8 @@ impl LatencyHistogram {
     }
 }
 
-/// The same bucket layout over atomic slots: shard worker threads record
-/// concurrently with relaxed ordering, snapshots are taken between batches.
-///
-/// A snapshot taken while recorders are mid-flight may be off by in-flight
-/// samples (the slots are independently atomic, not jointly linearizable) —
-/// exactly the semantics the rest of the engine's counter stats already
-/// have.
-#[derive(Debug)]
-pub struct AtomicHistogram {
-    counts: Vec<AtomicU64>,
-    total: AtomicU64,
-    sum_nanos: AtomicU64,
-    max_nanos: AtomicU64,
-}
-
-impl Default for AtomicHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AtomicHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        AtomicHistogram {
-            counts: (0..TOTAL_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-            total: AtomicU64::new(0),
-            sum_nanos: AtomicU64::new(0),
-            max_nanos: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one sample, in nanoseconds.
-    pub fn record_nanos(&self, nanos: u64) {
-        // lint: allow(relaxed-store, bucket counters are independent; a scrape mid-record is off by one sample at worst)
-        self.counts[slot_of(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        // Saturating: 2^64 ns is ~585 years of cumulative latency.
-        let _ = self
-            // lint: allow(relaxed-store, cumulative sum; a torn mean is transient and self-corrects)
-            .sum_nanos
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |sum| {
-                Some(sum.saturating_add(nanos))
-            });
-        // lint: allow(relaxed-store, high-water mark; fetch_max keeps it monotonic regardless of order)
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Freezes the current contents into a compact snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut slots = Vec::new();
-        for (slot, count) in self.counts.iter().enumerate() {
-            let count = count.load(Ordering::Relaxed);
-            if count > 0 {
-                slots.push((slot as u32, count));
-            }
-        }
-        let total = slots.iter().map(|&(_, c)| c).sum();
-        HistogramSnapshot {
-            slots,
-            total,
-            sum_nanos: self.sum_nanos.load(Ordering::Relaxed),
-            max_nanos: self.max_nanos.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every slot and counter.
-    pub fn reset(&self) {
-        // lint: allow(relaxed-store, reset is a measurement boundary; writers are quiesced between runs)
-        for count in &self.counts {
-            count.store(0, Ordering::Relaxed);
-        }
-        // lint: allow(relaxed-store, reset is a measurement boundary; writers are quiesced between runs)
-        self.total.store(0, Ordering::Relaxed);
-        self.sum_nanos.store(0, Ordering::Relaxed);
-        self.max_nanos.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A frozen, compact histogram: only the non-zero slots, plus exact total,
-/// sum and max. Cheap to clone, merge and compare ([`Eq`] holds because
+/// A compact histogram: only the non-zero slots, plus exact total, sum and
+/// max. Cheap to clone, merge and compare ([`Eq`] holds because
 /// everything is integer nanoseconds), and small on the wire — a histogram
 /// with k busy buckets costs 12k + O(1) bytes instead of 7.8 KiB.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -296,6 +210,21 @@ impl HistogramSnapshot {
             sum_nanos,
             max_nanos,
         })
+    }
+
+    /// Records one sample, in nanoseconds: a sorted insert into the sparse
+    /// slots. The sum saturates at `u64::MAX` (~585 years of cumulative
+    /// latency), so sum, max and slot counts do not depend on the order
+    /// samples arrive in.
+    pub fn record_nanos(&mut self, nanos: u64) {
+        let slot = slot_of(nanos) as u32;
+        match self.slots.binary_search_by_key(&slot, |&(s, _)| s) {
+            Ok(index) => self.slots[index].1 += 1,
+            Err(index) => self.slots.insert(index, (slot, 1)),
+        }
+        self.total += 1;
+        self.sum_nanos = self.sum_nanos.saturating_add(nanos);
+        self.max_nanos = self.max_nanos.max(nanos);
     }
 
     /// The sparse `(slot, count)` pairs, ascending by slot.
@@ -542,16 +471,23 @@ mod tests {
         }
     }
 
+    /// A snapshot filled by `record_nanos` over `samples`.
+    fn recorded(samples: impl IntoIterator<Item = u64>) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::default();
+        for nanos in samples {
+            h.record_nanos(nanos);
+        }
+        h
+    }
+
     #[test]
-    fn atomic_histogram_snapshot_matches_serial_recording() {
-        let atomic = AtomicHistogram::new();
+    fn recorded_snapshot_matches_serial_recording() {
+        let samples: Vec<u64> = (0..2000u64).map(|i| 13 * i * i + 7).collect();
+        let snap = recorded(samples.iter().copied());
         let mut serial = LatencyHistogram::new();
-        for i in 0..2000u64 {
-            let nanos = 13 * i * i + 7;
-            atomic.record_nanos(nanos);
+        for &nanos in &samples {
             serial.record(Duration::from_nanos(nanos));
         }
-        let snap = atomic.snapshot();
         assert_eq!(snap.count(), serial.count());
         assert_eq!(snap.max_nanos(), serial.max().as_nanos() as u64);
         for q in [0.5, 0.95, 0.99] {
@@ -563,38 +499,37 @@ mod tests {
         }
         let mean_err = (snap.mean_seconds() * 1e9 - serial.mean().as_nanos() as f64).abs();
         assert!(mean_err < 1.0, "means differ by {mean_err} ns");
-        atomic.reset();
-        let empty = atomic.snapshot();
-        assert!(empty.is_empty());
-        assert_eq!(empty, HistogramSnapshot::default());
     }
 
     #[test]
-    fn concurrent_recording_loses_nothing() {
-        let histogram = std::sync::Arc::new(AtomicHistogram::new());
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let histogram = std::sync::Arc::clone(&histogram);
-                std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        histogram.record_nanos(t * 1_000_000 + i);
-                    }
-                })
-            })
+    fn record_nanos_keeps_slots_strictly_ascending() {
+        // Scrambled arrival order, repeats and far-apart octaves: the sparse
+        // slots stay sorted and unique, the shape `from_pairs` demands.
+        let samples: Vec<u64> = (0..500u64)
+            .map(|i| (i * 7919 % 503) * 1_000 + (i % 3) * 40_000_000)
+            .chain([0, u64::MAX, 15, 16])
             .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        let snap = histogram.snapshot();
-        assert_eq!(snap.count(), 40_000);
-        assert_eq!(snap.max_nanos(), 3 * 1_000_000 + 9_999);
+        let snap = recorded(samples.iter().copied());
+        assert!(snap.pairs().windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(snap.pairs().iter().all(|&(_, count)| count > 0));
+        assert_eq!(snap.count(), samples.len() as u64);
+        assert_eq!(snap.sum_nanos(), u64::MAX, "the sum saturates");
+        let rebuilt = HistogramSnapshot::from_pairs(
+            snap.pairs().to_vec(),
+            snap.sum_nanos(),
+            snap.max_nanos(),
+        )
+        .expect("recorded slots are a valid sparse histogram");
+        assert_eq!(rebuilt, snap);
+        // The order samples arrive in does not change the result.
+        assert_eq!(recorded(samples.iter().rev().copied()), snap);
     }
 
     #[test]
     fn snapshot_merge_matches_joint_recording() {
-        let a = AtomicHistogram::new();
-        let b = AtomicHistogram::new();
-        let joint = AtomicHistogram::new();
+        let mut a = HistogramSnapshot::default();
+        let mut b = HistogramSnapshot::default();
+        let mut joint = HistogramSnapshot::default();
         for i in 0..1000u64 {
             let nanos = 31 * i + 5;
             if i % 3 == 0 {
@@ -604,114 +539,14 @@ mod tests {
             }
             joint.record_nanos(nanos);
         }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, joint.snapshot());
-    }
-
-    #[test]
-    fn concurrent_totals_are_exact_and_quantiles_stay_in_error_bound() {
-        // Heavier sibling of `concurrent_recording_loses_nothing`: eight
-        // threads record disjoint deterministic streams; the merged totals
-        // and sum must be *exact*, and every quantile must match a serial
-        // reference histogram recorded with the same samples.
-        let threads = 8u64;
-        let per_thread = 25_000u64;
-        let value_of = |t: u64, i: u64| (t + 1) * 977 + i * i % 50_000_000;
-        let histogram = std::sync::Arc::new(AtomicHistogram::new());
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let histogram = std::sync::Arc::clone(&histogram);
-                std::thread::spawn(move || {
-                    for i in 0..per_thread {
-                        histogram.record_nanos(value_of(t, i));
-                    }
-                })
-            })
-            .collect();
-        let mut serial = LatencyHistogram::new();
-        let mut all: Vec<u64> = Vec::new();
-        for t in 0..threads {
-            for i in 0..per_thread {
-                let nanos = value_of(t, i);
-                serial.record(Duration::from_nanos(nanos));
-                all.push(nanos);
-            }
-        }
-        let exact_sum: u128 = all.iter().map(|&n| n as u128).sum();
-        all.sort_unstable();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        let snap = histogram.snapshot();
-        assert_eq!(snap.count(), threads * per_thread, "lost samples");
-        assert_eq!(snap.sum_nanos() as u128, exact_sum, "lost nanoseconds");
-        assert_eq!(snap.max_nanos(), *all.last().unwrap());
-        for q in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0] {
-            let concurrent = snap.quantile_nanos(q);
-            // Same buckets, same totals: concurrent and serial quantiles
-            // must be *identical* — any drift means a sample changed slots.
-            assert_eq!(concurrent, serial.quantile(q).as_nanos() as u64, "q{q}");
-            // And the documented error bound holds against the *true*
-            // (sorted-sample) quantile: midpoint representatives are within
-            // half a sub-bucket ≈ 1/32 relative.
-            let rank = ((q * all.len() as f64).ceil() as usize).clamp(1, all.len());
-            let truth = all[rank - 1];
-            if truth > SUB_BUCKETS as u64 {
-                let relative = (concurrent as f64 - truth as f64) / truth as f64;
-                assert!(
-                    relative.abs() <= 1.0 / 32.0 + 1e-9,
-                    "q{q}: {concurrent} vs true {truth} ({:+.2}%)",
-                    100.0 * relative
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn concurrent_shards_merge_to_the_joint_snapshot() {
-        // Thread-per-shard recording into separate histograms, merged
-        // afterwards, must equal one histogram that saw everything — the
-        // exact aggregation the per-shard engine stats rely on.
-        let shards: Vec<_> = (0..4)
-            .map(|_| std::sync::Arc::new(AtomicHistogram::new()))
-            .collect();
-        let joint = std::sync::Arc::new(AtomicHistogram::new());
-        let handles: Vec<_> = shards
-            .iter()
-            .enumerate()
-            .map(|(t, shard)| {
-                let shard = std::sync::Arc::clone(shard);
-                let joint = std::sync::Arc::clone(&joint);
-                std::thread::spawn(move || {
-                    for i in 0..10_000u64 {
-                        let nanos = (t as u64 + 1) * 13 + i * 31;
-                        shard.record_nanos(nanos);
-                        joint.record_nanos(nanos);
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().unwrap();
-        }
-        let mut merged = HistogramSnapshot::default();
-        for shard in &shards {
-            merged.merge(&shard.snapshot());
-        }
-        assert_eq!(merged, joint.snapshot());
+        a.merge(&b);
+        assert_eq!(a, joint);
     }
 
     #[test]
     fn fraction_above_matches_recorded_distribution() {
-        let h = AtomicHistogram::new();
-        for _ in 0..900 {
-            h.record_nanos(1_000);
-        }
-        for _ in 0..100 {
-            h.record_nanos(10_000_000);
-        }
-        let snap = h.snapshot();
+        let snap =
+            recorded(std::iter::repeat_n(1_000, 900).chain(std::iter::repeat_n(10_000_000, 100)));
         let slow = snap.fraction_above(1_000_000);
         assert!((slow - 0.10).abs() < 1e-9, "slow fraction {slow}");
         // Threshold below everything: the whole mass is above.
@@ -737,11 +572,7 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_through_pairs() {
-        let atomic = AtomicHistogram::new();
-        for i in 0..100u64 {
-            atomic.record_nanos(1000 * i);
-        }
-        let snap = atomic.snapshot();
+        let snap = recorded((0..100u64).map(|i| 1000 * i));
         let rebuilt = HistogramSnapshot::from_pairs(
             snap.pairs().to_vec(),
             snap.sum_nanos(),

@@ -17,10 +17,9 @@
 //!   lock-sharded [`FlightRecorder`] ring buffer behind it, configured by
 //!   [`ObsConfig`] (off by default);
 //! * [`histogram`] — the log-bucketed [`LatencyHistogram`] (moved here from
-//!   `svgic-workload` so the engine can depend on it), its thread-safe
-//!   sibling [`AtomicHistogram`] for concurrent recording inside engine
-//!   stats, and the compact mergeable [`HistogramSnapshot`] that crosses the
-//!   wire;
+//!   `svgic-workload` so the engine can depend on it) and the compact
+//!   mergeable [`HistogramSnapshot`] that engine stats record into and that
+//!   crosses the wire;
 //! * [`profile`] — critical-path assembly over recorded spans: per-phase
 //!   aggregates ([`aggregate_phases`]), top-K-slowest request waterfalls
 //!   ([`assemble_waterfalls`]) and the flamegraph-compatible collapsed-stack
@@ -72,7 +71,7 @@ pub mod telemetry;
 pub mod tracer;
 
 pub use chrome::{chrome_trace_json, chrome_trace_json_with_counters};
-pub use histogram::{AtomicHistogram, HistogramSnapshot, LatencyHistogram};
+pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use mem::MemoryFootprint;
 pub use phase::Phase;
 pub use profile::{

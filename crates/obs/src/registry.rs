@@ -68,7 +68,6 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::AtomicHistogram;
 
     #[test]
     fn entries_keep_insertion_order_and_guard_nan() {
@@ -93,11 +92,11 @@ mod tests {
     fn latency_quadruple_is_zero_when_empty_and_ordered() {
         let mut registry = MetricsRegistry::new();
         registry.latency("lp", &HistogramSnapshot::default());
-        let histogram = AtomicHistogram::new();
+        let mut histogram = HistogramSnapshot::default();
         for i in 1..=100u64 {
             histogram.record_nanos(i * 1_000_000);
         }
-        registry.latency("round", &histogram.snapshot());
+        registry.latency("round", &histogram);
         let metrics = registry.finish();
         let names: Vec<&str> = metrics.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(

@@ -136,17 +136,16 @@ impl HealthPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::AtomicHistogram;
 
     fn histogram_with(fast: u64, slow: u64) -> HistogramSnapshot {
-        let h = AtomicHistogram::new();
+        let mut h = HistogramSnapshot::default();
         for _ in 0..fast {
             h.record_nanos(1_000);
         }
         for _ in 0..slow {
             h.record_nanos(100_000_000);
         }
-        h.snapshot()
+        h
     }
 
     #[test]

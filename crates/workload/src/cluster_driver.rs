@@ -363,7 +363,7 @@ impl Ledger {
         // but their counters belong to the excluded window — zero them so
         // the measured report never mixes warmup and measured data.
         for snapshot in self.last_seen.values_mut() {
-            *snapshot = svgic_engine::EngineStats::default().snapshot();
+            *snapshot = StatsSnapshot::default();
         }
     }
 }
@@ -613,11 +613,7 @@ impl ClusterDriver {
                 alive: false,
                 busy_seconds: ledger.busy.get(&dead).copied().unwrap_or(0.0),
                 sessions: 0,
-                engine: ledger
-                    .last_seen
-                    .get(&dead)
-                    .cloned()
-                    .unwrap_or_else(|| svgic_engine::EngineStats::default().snapshot()),
+                engine: ledger.last_seen.get(&dead).cloned().unwrap_or_default(),
                 telemetry: Vec::new(),
             });
         }

@@ -26,8 +26,8 @@ use svgic_engine::fingerprint::Fnv;
 use svgic_engine::prelude::*;
 use svgic_engine::{CreateSession, TelemetrySample};
 
-use crate::histogram::LatencyHistogram;
 use crate::trace::{Trace, TraceEvent};
+use crate::LatencyHistogram;
 
 /// How the driver paces the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

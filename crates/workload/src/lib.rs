@@ -16,7 +16,7 @@
 //!    instances are rebuilt from seeds, floats round-trip as IEEE-754 bits.
 //! 3. **How does the engine behave under that load?** The [`driver`] feeds a
 //!    trace into `svgic-engine` open- or closed-loop, recording per-request
-//!    latency into HDR-style log-bucketed histograms ([`histogram`]),
+//!    latency into HDR-style log-bucketed histograms ([`LatencyHistogram`]),
 //!    sustained throughput, utility-vs-bound quality, and a deterministic
 //!    configuration digest; [`report`] serializes it all as machine-readable
 //!    JSON for the perf trajectory.
@@ -71,7 +71,6 @@ pub mod cli;
 pub mod cluster_driver;
 pub mod distributions;
 pub mod driver;
-pub mod histogram;
 pub mod json;
 pub mod report;
 pub mod scenario;
@@ -84,9 +83,9 @@ pub use cluster_driver::{
     PolicyKind,
 };
 pub use driver::{DriveMode, DriverConfig, LatencyBreakdown, LoadDriver, LoadOutcome};
-pub use histogram::LatencyHistogram;
 pub use report::{ClusterReport, LoadReport, CLUSTER_REPORT_SCHEMA, REPORT_SCHEMA};
 pub use scenario::{DurationModel, GroupSizeModel, Scenario};
+pub use svgic_obs::LatencyHistogram;
 pub use synth::generate;
 pub use trace::{TemplateSpec, Trace, TraceError, TraceEvent};
 
@@ -97,9 +96,9 @@ pub mod prelude {
         ClusterDriver, ClusterDriverConfig, ClusterLoadOutcome, NodeAction, NodePlan, PolicyKind,
     };
     pub use crate::driver::{DriveMode, DriverConfig, LoadDriver, LoadOutcome};
-    pub use crate::histogram::LatencyHistogram;
     pub use crate::report::{ClusterReport, LoadReport};
     pub use crate::scenario::Scenario;
     pub use crate::synth::generate;
     pub use crate::trace::{Trace, TraceEvent};
+    pub use crate::LatencyHistogram;
 }

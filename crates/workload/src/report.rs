@@ -16,8 +16,8 @@ use svgic_engine::TelemetrySample;
 
 use crate::cluster_driver::ClusterLoadOutcome;
 use crate::driver::{LoadOutcome, QualityUnderLoad};
-use crate::histogram::LatencyHistogram;
 use crate::trace::Trace;
+use crate::LatencyHistogram;
 
 /// Schema tag embedded in every single-engine report.
 pub const REPORT_SCHEMA: &str = "svgic-loadgen-report/v1";

@@ -8,6 +8,7 @@
 //!   trace round-tripped through the text format must all serve **identical**
 //!   configurations (equal digests).
 
+use svgic::engine::{EngineError, EngineTransport};
 use svgic::prelude::*;
 use svgic::workload::report::REPORT_SCHEMA;
 
@@ -127,17 +128,96 @@ fn served_configurations_do_not_depend_on_engine_shape() {
             config.engine.workers = workers;
             config.engine.shards = shards;
             let outcome = LoadDriver::new(config).run(&trace);
-            (outcome.config_digest, outcome.engine.solves())
+            let counters: Vec<(String, f64)> = outcome
+                .engine
+                .metrics()
+                .into_iter()
+                .filter(|(name, _)| !carries_wall_clock(name))
+                .collect();
+            ((outcome.config_digest, outcome.engine.solves()), counters)
         };
-        let expected = served(1, 1);
+        let (expected, _) = served(1, 1);
         assert!(expected.1 > 0, "{}: nothing was solved", scenario.name);
-        for (workers, shards) in [(1, 4), (2, 2), (2, 4), (3, 2)] {
+        let mut counters = std::collections::BTreeMap::new();
+        for (workers, shards) in [(1, 2), (1, 4), (2, 2), (2, 4), (3, 2)] {
+            let (got, counted) = served(workers, shards);
             assert_eq!(
-                served(workers, shards),
-                expected,
+                got, expected,
                 "{}: {workers} workers on {shards} shards serve differently from 1 on 1",
+                scenario.name
+            );
+            counters.insert((workers, shards), counted);
+        }
+        // Which thread ran a shard job must not change what was counted:
+        // with the shard count fixed, every counter (per-shard rows
+        // included) reads the same on one worker as on two.
+        for shards in [2, 4] {
+            assert_eq!(
+                counters[&(2, shards)],
+                counters[&(1, shards)],
+                "{}: 2 workers count differently from 1 on {shards} shards",
                 scenario.name
             );
         }
     }
+}
+
+/// Whether a `metrics()` key carries wall-clock time: latencies and
+/// durations, the busy-time skew, and the SLO burns and health derived
+/// from latencies.
+fn carries_wall_clock(name: &str) -> bool {
+    name.ends_with("_seconds")
+        || name == "shard_imbalance"
+        || name.starts_with("slo_")
+        || name == "health"
+}
+
+/// An in-process engine that checks its gauges after every request: each
+/// request returns only once its batch has, so the queue-depth and cache
+/// gauges in `stats()` must equal the live state exactly.
+struct GaugeCheckedEngine {
+    engine: Engine,
+    flushes: usize,
+}
+
+impl EngineTransport for GaugeCheckedEngine {
+    fn request(&mut self, request: EngineRequest) -> Result<EngineResponse, EngineError> {
+        self.flushes += usize::from(matches!(request, EngineRequest::Flush));
+        let response = self.engine.handle(request);
+        let stats = self.engine.stats();
+        assert_eq!(
+            stats.total_cache_entries(),
+            self.engine.cached_factor_sets() as u64,
+            "cache gauge after request {}",
+            stats.requests
+        );
+        assert_eq!(
+            stats.total_queue_depth(),
+            self.engine.pending_events() as u64,
+            "queue gauge after request {}",
+            stats.requests
+        );
+        response
+    }
+}
+
+#[test]
+fn gauges_are_exact_when_a_batch_returns() {
+    let scenario = Scenario {
+        ticks: 24,
+        ..Scenario::churn_heavy().smoke()
+    };
+    let trace = generate(&scenario, 5);
+    let config = DriverConfig::default();
+    let mut checked = GaugeCheckedEngine {
+        engine: Engine::new(EngineConfig {
+            workers: 3,
+            shards: 6,
+            ..config.engine.clone()
+        }),
+        flushes: 0,
+    };
+    let outcome = LoadDriver::new(config).run_on(&mut checked, &trace);
+    assert!(checked.flushes > 0, "the trace never flushed");
+    assert!(outcome.engine.solves() > 0, "nothing was solved");
 }
